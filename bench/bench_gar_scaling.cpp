@@ -9,13 +9,7 @@
 //     operator new — must be zero),
 //   * bit-identity of the two outputs.
 //
-// A second sweep measures the sharded aggregation pipeline: Krum and MDA
-// at n = 50, d = 1e4, S in {1, 2, 4, 8} (inadmissible (f, S) pairs are
-// skipped with a note — see docs/ARCHITECTURE.md on the merge-stage
-// budget), reporting wall-clock speedup of sharded vs the flat rule at
-// the same (n, f) and asserting the S = 1 path is bit-identical to flat.
-//
-// A third sweep measures the FULL training step (the worker→server
+// A second sweep measures the FULL training step (the worker→server
 // pipeline): n honest workers sample / compute / clip / DP-noise into the
 // round arena, the server aggregates and updates.  For each configuration
 // it reports
@@ -26,7 +20,7 @@
 //     dispatch the pool replaced (re-implemented locally for comparison),
 //   * whether a threaded trainer run is bit-identical to the serial run.
 //
-// A fourth sweep measures the round engine's slot ring
+// A third sweep measures the round engine's slot ring
 // (core/pipeline.hpp) at n = 50, d = 1e4, one row per depth k in
 // {0, 1, 2, 4}: per-step wall-clock, the fill-wait / fill-busy /
 // aggregate / apply phase split (RunResult::phase — wait is blocked
@@ -42,7 +36,7 @@
 // (final accuracy/loss, min loss, steps-to-min), plus the Theorem-1
 // strongly-convex quadratic's exact excess loss per depth.
 //
-// A fifth sweep measures the opt-in fast-math kernels (math/kernels.hpp)
+// A fourth sweep measures the opt-in fast-math kernels (math/kernels.hpp)
 // per GAR at n = 50, d = 1e4 and at the large-d point d = 1e5 (skipped
 // under --fast): wall-clock of the scalar (default, bit-identical) mode
 // vs MathMode::kFast, the max relative output deviation against the
@@ -52,7 +46,7 @@
 // JSON records which backend the binary *selected at runtime*
 // ("avx2" / "unrolled8" / forced "avx2-fma").
 //
-// A sixth sweep measures distance pruning (aggregation/pruned_oracle.hpp)
+// A fifth sweep measures distance pruning (aggregation/pruned_oracle.hpp)
 // per selection GAR at d = 1e4, n up to 1000 (n = 50 only under --fast):
 // prune=off vs prune=exact vs prune=approx wall-clock, the pruned-pair
 // fraction (1 − exact_pairs/total_pairs, deterministic per generator
@@ -66,16 +60,16 @@
 // isotropic control row whose near-zero fraction and sub-1 speedup are
 // the documented graceful-degradation case, not a regression.
 //
-// A seventh sweep measures the hierarchical aggregation tree and the
+// A sixth sweep measures the hierarchical aggregation tree and the
 // framed wire format (aggregation/hierarchical.hpp, src/net/): flat vs
-// sharded S = 4 vs tree (L = 2, B = 8) per GAR at n in {50, 200, 1000}
-// (inadmissible cells — 64 leaves exceed n = 50, krum on 3-row leaves —
-// and the intractable flat-MDA cells are recorded with their reasons,
-// not hidden), the L = 1-vs-sharded bit-identity gates with and without
-// the ideal framed link, and per wire mode the encode/decode throughput,
+// tree (L = 2, B = 8) per GAR at n in {50, 200, 1000} (inadmissible
+// cells — 64 leaves exceed n = 50, krum on 3-row leaves — and the
+// intractable flat-MDA cells are recorded with their reasons, not
+// hidden), the tree(L = 1, B = 1)-vs-flat and framed-vs-in-memory
+// bit-identity gates, and per wire mode the encode/decode throughput,
 // bytes per row/round, codec allocation count, and the checksum gates.
 //
-// An eighth sweep measures elastic membership epochs (core/membership.hpp)
+// A seventh sweep measures elastic membership epochs (core/membership.hpp)
 // on the churn-stress config (phishing task, median, "little", n = 11,
 // f = 3): rounds/s and allocs/step at churn off vs zero-probability
 // epochs vs moderate (join 0.6 / leave 0.1) vs high (0.9 / 0.3) churn —
@@ -95,8 +89,8 @@
 // drift, depth-k nondeterminism, fast-mode nondeterminism or an
 // out-of-bound fast-mode deviation, prune=exact drift from off, a
 // pruned-mode steady-state allocation, a collapsed lowdim krum
-// pruned-pair fraction, an L = 1 tree diverging from the sharded rule
-// (in memory or framed), a wire codec that allocates, fails the raw64
+// pruned-pair fraction, a tree(L = 1, B = 1) diverging from the flat
+// rule, an ideal framed tree diverging from the in-memory one, a wire codec that allocates, fails the raw64
 // byte-exact round trip, passes a corrupted frame, breaks the int8
 // error contract, a churn-off trainer that allocates at steady state,
 // a zero-probability churn epoch that perturbs the trajectory, a
@@ -122,7 +116,6 @@
 #include "aggregation/mda.hpp"
 #include "aggregation/pruned_oracle.hpp"
 #include "aggregation/reference_gars.hpp"
-#include "aggregation/sharded.hpp"
 #include "net/frame.hpp"
 #include "net/transport.hpp"
 #include "core/experiment.hpp"
@@ -333,14 +326,6 @@ struct Row {
   bool identical;
 };
 
-struct ShardRow {
-  std::string gar;
-  size_t n, d, f, shards, shard_f, merge_f;
-  double sharded_s, flat_s;
-  size_t allocs;
-  bool s1_identical;  // measured at shards == 1 only (false/unused, emitted as null, elsewhere)
-};
-
 struct PipelineRow {
   std::string mechanism, gar;
   size_t n, d, threads;
@@ -393,22 +378,24 @@ struct QuadStalenessRow {
 };
 
 struct TreeRow {
-  std::string gar, topology;  // "flat" | "sharded(S=4)" | "tree(L=2,B=8)"
+  std::string gar, topology;  // "flat" | "tree(L=2,B=8)"
   size_t n, d, f;
   double ms = 0.0;
   size_t allocs = 0;
   std::string note;  // nonempty = cell skipped (infeasible / intractable)
 };
 
-/// Correctness gates of the hierarchical/wire refactor, asserted under
-/// --check per inner GAR: the L = 1 tree must be bit-identical to the
-/// sharded aggregator at the same (n, f, S = B) — in memory AND over the
-/// ideal framed link — and the framed steady state must be allocation-free.
+/// Correctness gates of the hierarchical tree and its wire, asserted
+/// under --check per inner GAR: tree(L = 1, B = 1) must be bit-identical
+/// to the flat rule, the L = 1 tree over the ideal framed link must be
+/// bit-identical to the in-memory tree, and the framed steady state must
+/// be allocation-free.  (The L = 1 outputs themselves are hexfloat-pinned
+/// in tests/test_hierarchical.cpp.)
 struct TreeGateRow {
   std::string gar;
   size_t n, f, branch;
-  bool l1_identical;         // in-memory tree == sharded, bit-for-bit
-  bool l1_framed_identical;  // ideal raw64 edges == sharded, bit-for-bit
+  bool b1_identical;         // tree(L=1, B=1) == flat rule, bit-for-bit
+  bool l1_framed_identical;  // ideal raw64 edges == in-memory tree, bit-for-bit
   size_t framed_allocs;      // steady-state allocs of one framed aggregate
 };
 
@@ -578,77 +565,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- shard sweep: the sharded pipeline vs the flat rule ----------------
-  // f is fixed per GAR so flat and sharded solve the same (n, f) problem:
-  // Krum takes f = 5 (admissible down to 6-row shards at f_shard = 1),
-  // MDA keeps the sweep's f = 2.  The O(n²d/S) distance work is what the
-  // speedup column tracks; S values whose worst-case merge budget is
-  // inadmissible (e.g. S = 2 needs a median over 2 values tolerating 1
-  // corrupted shard) are skipped — that is the documented price of the
-  // worst-case f split, not a measurement gap.
-  std::vector<ShardRow> shard_rows;
-  {
-    const size_t n = 50, d = 10000;
-    const std::vector<size_t> shard_counts{1, 2, 4, 8};
-    std::printf("\n%-8s %4s %7s %4s %3s | %6s %6s | %12s %12s %8s | %7s %10s\n", "gar",
-                "n", "d", "f", "S", "f_shd", "f_mrg", "sharded (ms)", "flat (ms)",
-                "speedup", "allocs", "s1 ident");
-    std::printf(
-        "--------------------------------------------------------------------------"
-        "-----------------\n");
-    for (const auto& gar : std::vector<std::string>{"krum", "mda"}) {
-      const size_t f = gar == "krum" ? 5 : 2;
-      const auto gradients = make_gradients(n, d, 42);
-      const GradientBatch batch = GradientBatch::from_vectors(gradients);
-      const auto flat = dpbyz::make_aggregator(gar, n, f);
-      dpbyz::AggregatorWorkspace flat_ws;
-      const double flat_s = time_call([&] { flat->aggregate(batch, flat_ws); }, budget_s);
-      const auto flat_view = flat->aggregate(batch, flat_ws);
-      const Vector flat_out(flat_view.begin(), flat_view.end());
-
-      for (size_t S : shard_counts) {
-        // Stack-constructed (optional, not make_unique): heap-allocating
-        // through this TU's replaced operator new trips GCC's
-        // -Wmismatched-new-delete heuristic.
-        std::optional<dpbyz::ShardedAggregator> sharded;
-        try {
-          sharded.emplace(gar, "median", n, f, S);
-        } catch (const std::invalid_argument& e) {
-          std::printf("%-8s %4zu %7zu %4zu %3zu | skipped (inadmissible: %s)\n",
-                      gar.c_str(), n, d, f, S, e.what());
-          continue;
-        }
-        dpbyz::AggregatorWorkspace ws;
-
-        sharded->aggregate(batch, ws);  // warm up the workspace pool
-        g_alloc_count.store(0);
-        g_count_allocs.store(true);
-        sharded->aggregate(batch, ws);
-        g_count_allocs.store(false);
-        const size_t allocs = g_alloc_count.load();
-
-        // Bit-identity to the flat rule is only claimed (and only
-        // meaningful) at S = 1; S > 1 rows report null in the JSON.
-        bool s1_identical = false;
-        if (S == 1) {
-          const auto view = sharded->aggregate(batch, ws);
-          s1_identical = Vector(view.begin(), view.end()) == flat_out;
-        }
-
-        const double sharded_s =
-            time_call([&] { sharded->aggregate(batch, ws); }, budget_s);
-        shard_rows.push_back({gar, n, d, f, S, sharded->shard_f(), sharded->merge_f(),
-                              sharded_s, flat_s, allocs, s1_identical});
-        std::printf("%-8s %4zu %7zu %4zu %3zu | %6zu %6zu | %12.3f %12.3f %7.2fx | "
-                    "%7zu %10s\n",
-                    gar.c_str(), n, d, f, S, sharded->shard_f(), sharded->merge_f(),
-                    sharded_s * 1e3, flat_s * 1e3, flat_s / sharded_s, allocs,
-                    S > 1 ? "-" : (s1_identical ? "yes" : "NO"));
-        std::fflush(stdout);
-      }
-    }
-  }
-
   // ---- fast-math sweep: opt-in kernels vs the scalar default -------------
   // Same aggregator, same inputs, only the process-global math mode
   // differs.  Selection GARs on generic-position inputs pick the same
@@ -746,7 +662,7 @@ int main(int argc, char** argv) {
   // near 1 − (theta/n)² — reported, not hidden).  MDA stops at n = 50:
   // on this near-tied lowdim geometry its branch-and-bound subset
   // search explodes past ~10 s/call already at n = 200 (the DFS, not
-  // the distance matrix, dominates — the regime mda_greedy and sharding
+  // the distance matrix, dominates — the regime mda_greedy and the tree
   // exist for), and a tracked bench should stay rerunnable.  mda_greedy
   // and multi-krum (which must exactly score its m = n − f selected
   // rows, capping its win structurally) stay at n <= 200 to keep the
@@ -1110,16 +1026,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- tree sweep: flat vs sharded vs the hierarchical tree ---------------
+  // ---- tree sweep: flat vs the hierarchical tree ---------------------------
   // d = 1e3 so the n = 1000 flat O(n²d) point stays rerunnable.  f = 2
-  // for the robust rules (the largest f whose S = 4 merge budget is
-  // admissible: f = 4 would need a median over 4 shard aggregates
-  // tolerating 2), f = 0 for average.  Cells whose derived per-level
+  // for the robust rules, f = 0 for average.  Cells whose derived per-level
   // budget is inadmissible — (L=2, B=8) needs 64 non-empty leaves, and
   // 3-row leaves cannot host krum at f_child = 1 — are recorded with
   // the constructor's own message, not silently dropped; same for the
   // flat-MDA cells whose subset search is intractable at large n (the
-  // regime the prune sweep documents — sharding/trees keep the MDA
+  // regime the prune sweep documents — trees keep the MDA
   // leaves small, which is exactly the point of the comparison).
   std::vector<TreeRow> tree_rows;
   std::vector<TreeGateRow> tree_gate_rows;
@@ -1173,16 +1087,6 @@ int main(int argc, char** argv) {
         }
         emit(std::move(flat_row));
 
-        TreeRow shard_row{gar, "sharded(S=4)", n, d, f, 0.0, 0, ""};
-        std::optional<dpbyz::ShardedAggregator> sharded;
-        try {
-          sharded.emplace(gar, "median", n, f, 4);
-          measure(*sharded, batch, shard_row.ms, shard_row.allocs);
-        } catch (const std::invalid_argument& e) {
-          shard_row.note = e.what();
-        }
-        emit(std::move(shard_row));
-
         TreeRow tree_row{gar, "tree(L=2,B=8)", n, d, f, 0.0, 0, ""};
         std::optional<dpbyz::HierarchicalAggregator> tree;
         try {
@@ -1195,27 +1099,30 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Refactor gates: L = 1 tree vs sharded at (n = 48, B = S = 4), in
-    // memory and over the ideal framed raw64 link.
+    // Tree gates at n = 48: tree(L = 1, B = 1) vs the flat rule, and the
+    // (L = 1, B = 4) tree over the ideal framed raw64 link vs in memory.
     {
       const size_t gn = 48, gd = 4096;
       const auto gradients = make_gradients(gn, gd, 42);
       const GradientBatch batch = GradientBatch::from_vectors(gradients);
       const dpbyz::net::LinkConfig ideal;  // raw64, no faults
-      std::printf("\n%-8s | %9s %12s %12s\n", "gar", "L1 ident", "framed ident",
+      std::printf("\n%-8s | %9s %12s %12s\n", "gar", "B1 ident", "framed ident",
                   "framed allocs");
       std::printf("--------------------------------------------------\n");
       for (const std::string gar : {"krum", "mda", "average"}) {
         const size_t f = gar == "average" ? 0 : 2;
-        const dpbyz::ShardedAggregator sharded(gar, "median", gn, f, 4);
+        const auto flat = dpbyz::make_aggregator(gar, gn, f);
+        const dpbyz::HierarchicalAggregator single(gar, "median", gn, f, 1, 1);
         const dpbyz::HierarchicalAggregator tree(gar, "median", gn, f, 1, 4);
         const dpbyz::HierarchicalAggregator framed(
             gar, "median", gn, f, 1, 4, 1, dpbyz::PruneMode::kOff, &ideal);
-        dpbyz::AggregatorWorkspace ws_s, ws_t, ws_f;
-        const auto sv = sharded.aggregate(batch, ws_s);
-        const Vector want(sv.begin(), sv.end());
+        dpbyz::AggregatorWorkspace ws_flat, ws_b1, ws_t, ws_f;
+        const auto flat_view = flat->aggregate(batch, ws_flat);
+        const auto b1_view = single.aggregate(batch, ws_b1);
+        const bool b1_identical = Vector(b1_view.begin(), b1_view.end()) ==
+                                  Vector(flat_view.begin(), flat_view.end());
         const auto tv = tree.aggregate(batch, ws_t);
-        const bool l1_identical = Vector(tv.begin(), tv.end()) == want;
+        const Vector want(tv.begin(), tv.end());
         framed.aggregate(batch, ws_f);  // warm the wire buffers
         g_alloc_count.store(0);
         g_count_allocs.store(true);
@@ -1224,9 +1131,9 @@ int main(int argc, char** argv) {
         const size_t framed_allocs = g_alloc_count.load();
         const bool framed_identical = Vector(fv.begin(), fv.end()) == want;
         tree_gate_rows.push_back(
-            {gar, gn, f, 4, l1_identical, framed_identical, framed_allocs});
+            {gar, gn, f, 4, b1_identical, framed_identical, framed_allocs});
         std::printf("%-8s | %9s %12s %12zu\n", gar.c_str(),
-                    l1_identical ? "yes" : "NO", framed_identical ? "yes" : "NO",
+                    b1_identical ? "yes" : "NO", framed_identical ? "yes" : "NO",
                     framed_allocs);
         std::fflush(stdout);
       }
@@ -1521,7 +1428,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open BENCH_gar_scaling.json for writing\n");
     return 1;
   }
-  std::fprintf(out, "{\n  \"bench\": \"gar_scaling\",\n  \"results\": [\n");
+  // Every *_ms figure is the median of 1-50 timed calls (as many as
+  // budget_ms affords after one untimed probe call; see time_call).
+  std::fprintf(out,
+               "{\n  \"bench\": \"gar_scaling\",\n  \"cores\": %u,\n"
+               "  \"fast\": %s,\n  \"budget_ms\": %.1f,\n"
+               "  \"timing\": \"median of 1-50 timed calls per cell within budget_ms\",\n"
+               "  \"results\": [\n",
+               std::max(1u, std::thread::hardware_concurrency()), fast ? "true" : "false",
+               budget_ms);
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(out,
@@ -1531,20 +1446,6 @@ int main(int argc, char** argv) {
                  r.gar.c_str(), r.n, r.d, r.f, r.new_s * 1e3, r.ref_s * 1e3,
                  r.ref_s / r.new_s, r.allocs, r.identical ? "true" : "false",
                  i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n  \"shard_sweep\": [\n");
-  for (size_t i = 0; i < shard_rows.size(); ++i) {
-    const ShardRow& r = shard_rows[i];
-    std::fprintf(out,
-                 "    {\"gar\": \"%s\", \"n\": %zu, \"d\": %zu, \"f\": %zu, "
-                 "\"shards\": %zu, \"shard_f\": %zu, \"merge_f\": %zu, "
-                 "\"sharded_ms\": %.6f, \"flat_ms\": %.6f, "
-                 "\"speedup_vs_flat\": %.3f, \"allocs_after_warmup\": %zu, "
-                 "\"s1_bit_identical\": %s}%s\n",
-                 r.gar.c_str(), r.n, r.d, r.f, r.shards, r.shard_f, r.merge_f,
-                 r.sharded_s * 1e3, r.flat_s * 1e3, r.flat_s / r.sharded_s, r.allocs,
-                 r.shards > 1 ? "null" : (r.s1_identical ? "true" : "false"),
-                 i + 1 < shard_rows.size() ? "," : "");
   }
   std::fprintf(out,
                "  ],\n  \"fast_math_backend\": \"%s\",\n"
@@ -1658,11 +1559,11 @@ int main(int argc, char** argv) {
     const TreeGateRow& r = tree_gate_rows[i];
     std::fprintf(out,
                  "    {\"gar\": \"%s\", \"n\": %zu, \"f\": %zu, \"branch\": %zu, "
-                 "\"l1_bit_identical_to_sharded\": %s, "
+                 "\"b1_bit_identical_to_flat\": %s, "
                  "\"l1_framed_bit_identical\": %s, "
                  "\"framed_allocs_after_warmup\": %zu}%s\n",
                  r.gar.c_str(), r.n, r.f, r.branch,
-                 r.l1_identical ? "true" : "false",
+                 r.b1_identical ? "true" : "false",
                  r.l1_framed_identical ? "true" : "false", r.framed_allocs,
                  i + 1 < tree_gate_rows.size() ? "," : "");
   }
@@ -1710,7 +1611,7 @@ int main(int argc, char** argv) {
                churn_restore_identical ? "true" : "false");
   std::fclose(out);
   std::printf("\nwrote BENCH_gar_scaling.json (%zu configurations)\n",
-              rows.size() + shard_rows.size() + prune_rows.size() +
+              rows.size() + prune_rows.size() +
                   pipeline_rows.size() + depth_rows.size() +
                   staleness_rows.size() + quad_staleness_rows.size() +
                   tree_rows.size() + tree_gate_rows.size() + wire_rows.size() +
@@ -1729,13 +1630,6 @@ int main(int argc, char** argv) {
              ": batch kernel diverged from the seed implementation");
       if (r.allocs != 0)
         fail(r.gar + " n=" + std::to_string(r.n) + " d=" + std::to_string(r.d) + ": " +
-             std::to_string(r.allocs) + " allocs after warmup");
-    }
-    for (const ShardRow& r : shard_rows) {
-      if (r.shards == 1 && !r.s1_identical)
-        fail("sharded " + r.gar + " S=1 diverged from the flat rule");
-      if (r.allocs != 0)
-        fail("sharded " + r.gar + " S=" + std::to_string(r.shards) + ": " +
              std::to_string(r.allocs) + " allocs after warmup");
     }
     // The fast-mode accuracy contract (kernels.hpp): selections agree on
@@ -1801,8 +1695,8 @@ int main(int argc, char** argv) {
              " per step)");
     }
     // Hierarchical/wire gates: every measured topology cell must be
-    // allocation-free at steady state; the L = 1 tree must match the
-    // sharded aggregator bit-for-bit with and without the framed link;
+    // allocation-free at steady state; tree(L = 1, B = 1) must match the
+    // flat rule, and the ideal framed tree the in-memory one, bit-for-bit;
     // the codec must round-trip raw64 byte-exactly, reject corruption,
     // stay allocation-free, and keep int8 inside its documented bound.
     for (const TreeRow& r : tree_rows) {
@@ -1811,12 +1705,11 @@ int main(int argc, char** argv) {
              std::to_string(r.allocs) + " allocs after warmup");
     }
     for (const TreeGateRow& r : tree_gate_rows) {
-      if (!r.l1_identical)
-        fail("tree L=1 " + r.gar + " diverged from sharded S=" +
-             std::to_string(r.branch));
+      if (!r.b1_identical)
+        fail("tree(L=1,B=1) " + r.gar + " diverged from the flat rule");
       if (!r.l1_framed_identical)
         fail("framed (ideal raw64) tree L=1 " + r.gar +
-             " diverged from sharded S=" + std::to_string(r.branch));
+             " diverged from the in-memory tree B=" + std::to_string(r.branch));
       if (r.framed_allocs != 0)
         fail("framed tree " + r.gar + ": " + std::to_string(r.framed_allocs) +
              " allocs after warmup");

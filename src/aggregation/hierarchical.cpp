@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "aggregation/budget.hpp"
 #include "math/rng.hpp"
 #include "utils/errors.hpp"
 #include "utils/parallel.hpp"
@@ -11,6 +10,19 @@
 namespace dpbyz {
 
 namespace {
+
+// Runs `make_stage` and, when the stage rejects its derived (count, f)
+// pair, rethrows with `context` prefixed — so an inadmissible level deep
+// in a tree names its own budget and how it was derived, not just the
+// leaf rule's constraint.
+template <typename Fn>
+auto with_budget_context(const std::string& context, Fn&& make_stage) {
+  try {
+    return make_stage();
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(context + ": " + e.what());
+  }
+}
 
 // Per-node channel seed: the same index-derivation schedule Rng::derive
 // uses, keyed by the child's position — every node's fault stream is a
@@ -48,14 +60,20 @@ HierarchicalAggregator::HierarchicalAggregator(
   for (size_t l = 0; l < levels; ++l) {
     require(leaves <= n / branch,
             "HierarchicalAggregator: B^L = " + std::to_string(branch) + "^" +
-                std::to_string(levels) + " leaf shards exceed n = " +
+                std::to_string(levels) + " leaves exceed n = " +
                 std::to_string(n) + " rows");
     leaves *= branch;
   }
 
-  const StageBudget budget = derive_stage_budget(f, branch);
-  child_f_ = budget.child_f;
-  merge_f_ = budget.merge_f;
+  // The worst-case f-budget of this fan-in stage (derivation in
+  // docs/ARCHITECTURE.md, "Per-child f budget"): each child is
+  // provisioned for the evenly-spread ceil(f / B) Byzantine rows;
+  // overwhelming one child costs the adversary child_f + 1 of its f rows,
+  // so at most floor(f / (child_f + 1)) children can exceed their budget
+  // and the merge rule runs at (B, merge_f).  Each child re-derives its
+  // own stage budget from (n_child, child_f), level by level.
+  child_f_ = (f + branch - 1) / branch;
+  merge_f_ = f / (child_f_ + 1);
 
   children_.reserve(branch_);
   for (size_t b = 0; b < branch_; ++b) {
@@ -89,10 +107,11 @@ HierarchicalAggregator::HierarchicalAggregator(
   merge_ = with_budget_context(
       merge_context, [&] { return make_aggregator(merge, branch_, merge_f_, prune); });
 
-  // Same rule and rationale as ShardedAggregator::weighted_merge_: at
-  // deeper levels the test is local (this node's own n % B), and a
-  // weighted-average node composes with weighted children into the
-  // subtree-size-weighted mean.
+  // An "average" merge over uneven children weights by subtree size (the
+  // unweighted mean of child means over-weights the small children); even
+  // splits keep the plain merge, bit-identical to the flat rule at B = 1.
+  // The test is local (this node's own n % B), and a weighted-average node
+  // composes with weighted children into the subtree-size-weighted mean.
   weighted_merge_ = merge_->name() == "average" && n % branch_ != 0;
   child_ws_.resize(branch_);
   if (link != nullptr)
@@ -106,8 +125,8 @@ std::string HierarchicalAggregator::name() const {
 
 std::pair<size_t, size_t> HierarchicalAggregator::child_range(size_t b) const {
   require(b < branch_, "HierarchicalAggregator::child_range: child index out of range");
-  // The balanced contiguous split ShardedAggregator::shard_range uses —
-  // identical arithmetic is part of the L = 1 bit-identity contract.
+  // Balanced contiguous split: child b covers [b*n/B, (b+1)*n/B), so sizes
+  // differ by at most one and every row belongs to exactly one child.
   return {b * n() / branch_, (b + 1) * n() / branch_};
 }
 
@@ -165,8 +184,7 @@ void HierarchicalAggregator::aggregate_into(const GradientBatch& batch,
         " — the worst-case resilience argument no longer covers this round");
 
   if (weighted_merge_) {
-    // Subtree-size-weighted mean: out = (1/n) Σ_b n_b · agg_b, exactly
-    // the sharded uneven-average path generalized to subtree counts.
+    // Subtree-size-weighted mean: out = (1/n) Σ_b n_b · agg_b.
     vec::fill(ws.output, 0.0);
     for (size_t b = 0; b < branch_; ++b) {
       const auto [lo, hi] = child_range(b);

@@ -1,24 +1,22 @@
 // hierarchical.hpp — recursive L-level robust aggregation tree.
 //
-// The two-level ShardedAggregator caps the flat O(n²d) GAR cost at
-// O(n²d/S) + O(S²d) — enough for n in the hundreds, but its merge stage
-// is itself a GAR over S rows, and at committee sizes where even n/S
-// rows per shard is too big the fix is the same one applied again.
-// HierarchicalAggregator recurses it: a node at (n, f) splits its rows
-// into B contiguous GradientBatch views, hands each child (n_child,
-// ceil(f/B)) with L−1 levels below it, and robust-merges the B child
-// aggregates at the shared stage budget (aggregation/budget.hpp):
+// The flat robust GARs are O(n²d) on the pairwise-distance kernel.  One
+// level (L = 1) splits the n rows into B contiguous GradientBatch views,
+// aggregates each with the inner GAR and robust-merges the B results:
+// O(n²d/B) + O(B²d).  Deeper trees apply the same split again: a node at
+// (n, f) hands each child (n_child, ceil(f/B)) with L−1 levels below it,
+// and robust-merges the B child aggregates at the worst-case stage
+// budget (derived in the constructor):
 //
 //   level budget   child_f = ceil(f / B),  merge_f = floor(f / (child_f + 1))
 //
 //   n rows ── B views ── … ── B^L leaf views, each a flat inner GAR
 //                └─ every internal node: merge GAR at (B, its merge_f)
 //
-// L = 1 is *structurally identical* to ShardedAggregator with S = B —
-// same split arithmetic, same budget derivation, same stage call order —
-// so its output is bit-identical (golden-pinned in
-// tests/test_hierarchical.cpp, adversarial ties and threaded included).
-// The flat path (tree_levels = 0 in ExperimentConfig) is untouched.
+// (L = 1, B = 1) is bit-identical to the flat rule, and the L = 1 outputs
+// are hexfloat-pinned in tests/test_hierarchical.cpp (adversarial ties,
+// prune = exact and threaded dispatch included).  The flat path
+// (tree_levels = 0 in ExperimentConfig) is untouched.
 //
 // Edges (optional): with a net::LinkConfig, every child aggregate
 // travels to its parent through the framed wire format and the
@@ -77,9 +75,12 @@ class HierarchicalAggregator final : public Aggregator {
   const Aggregator& child(size_t b) const { return *children_.at(b); }
   const Aggregator& merge_rule() const { return *merge_; }
 
-  /// Same semantics as ShardedAggregator::weighted_merge(): an "average"
+  /// True when the merge stage is the size-weighted average: an "average"
   /// merge over uneven child subtree sizes weights each child aggregate
-  /// by its row count, so tree(average/average) tracks the flat mean.
+  /// by its row count (out = (1/n) Σ n_b·agg_b), so tree(average/average)
+  /// tracks the flat mean.  Even splits (B | n, including B = 1) keep the
+  /// plain, bit-identical merge; robust merges are never weighted — every
+  /// child aggregate is one vote in the worst-case budget argument.
   bool weighted_merge() const { return weighted_merge_; }
 
   /// True when edges run over the framed wire (link given).
@@ -123,8 +124,10 @@ class HierarchicalAggregator final : public Aggregator {
   /// copies).  Edges are driven serially in child order — see header.
   std::unique_ptr<net::EdgeTransport> transport_;
   mutable net::ChannelStats stats_;  // this node's edges only
-  // Same ownership story as ShardedAggregator: per-child scratch lives
-  // in the rule, so one instance must not run concurrent aggregations.
+  // Per-child scratch lives in the rule (the child count is a property of
+  // the rule, not the call site); mutable because aggregate() is const on
+  // the hot path, so one instance must not run concurrent aggregations —
+  // the same sequential-use rule AggregatorWorkspace already imposes.
   mutable std::vector<AggregatorWorkspace> child_ws_;  // task b owns slot b
   mutable GradientBatch child_aggregates_;             // B×d merge arena
 };

@@ -40,7 +40,7 @@ struct CellArtifact {
   std::string attack;       ///< "none" or "name[:nu]" as specified on the axis
   double eps = 0.0;         ///< per-step DP epsilon; 0 = DP disabled
   std::string participation;
-  std::string topology;     ///< "flat" | "shards:S" | "tree:LxB"
+  std::string topology;     ///< "flat" | "tree:LxB"
   std::string channel = "off";  ///< "off" | "lossy:<drop>x<corrupt>x<reorder>"
   std::string churn = "off";    ///< "off" | "epoch:<E>x<join>x<leave>"
   std::string prune;

@@ -1,11 +1,11 @@
 #include "campaign/checkpoint.hpp"
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
+#include "utils/atomic_file.hpp"
 #include "utils/errors.hpp"
 #include "utils/strings.hpp"
 
@@ -18,22 +18,12 @@ constexpr const char* kMagic = "#dpbyz-campaign-manifest v1 ";
 void save_manifest(const std::string& path, const Manifest& m) {
   const std::filesystem::path p(path);
   if (p.has_parent_path()) std::filesystem::create_directories(p.parent_path());
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("campaign: cannot open '" + tmp + "'");
+  write_file_atomic(path, "campaign", [&](std::ostream& out) {
     out << kMagic << m.signature << "\n";
     out << strings::join(csv_header(), ",") << "\n";
     for (const auto& [index, artifact] : m.completed)
       out << strings::join(csv_cells(artifact), ",") << "\n";
-    out.flush();
-    if (!out) throw std::runtime_error("campaign: short write to '" + tmp + "'");
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec)
-    throw std::runtime_error("campaign: cannot rename '" + tmp + "' over '" +
-                             path + "': " + ec.message());
+  });
 }
 
 Manifest load_manifest(const std::string& path) {

@@ -122,16 +122,10 @@ void apply_churn(ExperimentConfig& cfg, const std::string& value) {
 void apply_topology(ExperimentConfig& cfg, const std::string& value) {
   const auto parts = strings::split(value, ':');
   const std::string& kind = parts[0];
-  cfg.shards = 1;
   cfg.tree_levels = 0;
   cfg.tree_branch = 0;
   if (kind == "flat") {
     require(parts.size() == 1, "campaign: 'flat' topology takes no argument");
-    return;
-  }
-  if (kind == "shards") {
-    require(parts.size() == 2, "campaign: 'shards' needs a count, e.g. shards:3");
-    cfg.shards = static_cast<size_t>(std::stoull(parts[1]));
     return;
   }
   if (kind == "tree") {
@@ -181,7 +175,7 @@ std::string GridSpec::signature() const {
       "probes=" + std::to_string(b.adapt_probes),
       "budget=" + std::to_string(b.adapt_budget),
       "partition=" + b.data_partition,
-      "merge=" + b.shard_merge_gar,
+      "merge=" + b.tree_merge_gar,
       "churn_seed=" + std::to_string(b.churn_seed),
       "seeds=" + std::to_string(seeds),
       "data_seed=" + std::to_string(data_seed),

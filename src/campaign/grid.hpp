@@ -17,7 +17,7 @@
 //   dp_eps:         per-step epsilon; 0 disables DP for that cell
 //   participation:  "full" | "iid" | "iid:<prob>" |
 //                   "stragglers:<k>" | "stragglers:<k>x<period>"
-//   topologies:     "flat" | "shards:<S>" | "tree:<L>x<B>"
+//   topologies:     "flat" | "tree:<L>x<B>" (S shards = "tree:1x<S>")
 //                   (also accepts "tree:<L>,<B>" on input; the canonical
 //                   form — and the one artifacts carry — uses 'x', which
 //                   keeps every field comma-free for the CSV schema)
@@ -52,7 +52,7 @@ namespace dpbyz::campaign {
 struct GridSpec {
   /// Shared scalar knobs (n, f, steps, batch, lr, pipeline depth, ...).
   /// Axis-controlled fields of `base` (gar, attack*, dp_*, participation*,
-  /// shards, tree_*, channel*, churn except churn_seed, prune, fast_math,
+  /// tree_*, channel*, churn except churn_seed, prune, fast_math,
   /// seed) are overwritten per cell.
   ExperimentConfig base;
 

@@ -1,11 +1,12 @@
 #include "core/checkpoint.hpp"
 
 #include <bit>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+
+#include "utils/atomic_file.hpp"
 
 namespace dpbyz {
 
@@ -83,8 +84,8 @@ std::string checkpoint_signature(const ExperimentConfig& c) {
       << ";ns=" << c.num_stragglers << ";sp=" << c.straggler_period
       << ";dp=" << c.dp_enabled << ";mech=" << c.mechanism
       << ";eps=" << bits_of(c.epsilon) << ";delta=" << bits_of(c.delta)
-      << ";gar=" << c.gar << ";prune=" << c.prune << ";shards=" << c.shards
-      << ";merge=" << c.shard_merge_gar << ";tl=" << c.tree_levels
+      << ";gar=" << c.gar << ";prune=" << c.prune
+      << ";merge=" << c.tree_merge_gar << ";tl=" << c.tree_levels
       << ";tb=" << c.tree_branch << ";wire=" << c.wire << ";topk=" << c.wire_topk
       << ";chunk=" << c.wire_chunk
       << ";atk=" << c.attack_enabled << ";atkname=" << c.attack
@@ -103,10 +104,7 @@ std::string checkpoint_signature(const ExperimentConfig& c) {
 }
 
 void save_checkpoint(const std::string& path, const TrainerCheckpoint& ckpt) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) throw std::runtime_error("checkpoint: cannot open '" + tmp + "' for write");
+  write_file_atomic(path, "checkpoint", [&](std::ostream& os) {
     os << kMagic << '\n';
     write_blob(os, "sig", ckpt.signature);
     os << "round " << ckpt.round << '\n';
@@ -132,11 +130,7 @@ void save_checkpoint(const std::string& path, const TrainerCheckpoint& ckpt) {
     write_blob(os, "eval_steps", pack_u64s(eval_steps));
     write_blob(os, "eval_accs", pack_doubles(eval_accs));
     os << "end\n";
-    os.flush();
-    if (!os) throw std::runtime_error("checkpoint: write to '" + tmp + "' failed");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0)
-    throw std::runtime_error("checkpoint: rename '" + tmp + "' -> '" + path + "' failed");
+  });
 }
 
 std::optional<TrainerCheckpoint> load_checkpoint(const std::string& path) {

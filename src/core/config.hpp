@@ -77,14 +77,14 @@ struct ExperimentConfig {
   double label_skew_fraction = 0.8;  ///< majority share for "label-skew"
   /// Thread budget for one training step: honest-worker submission runs
   /// one pipeline per thread on the process-wide ThreadPool, and the
-  /// sharded aggregator (shards > 1) dispatches its shard tasks at the
-  /// same width.  1 (the default) keeps every step on the calling thread
-  /// — the paper's serial loop, bit-identical to the seed; 0 picks the
-  /// hardware concurrency.  Any value yields bit-identical results to
-  /// serial (workers own disjoint arena rows and independent RNG
-  /// streams; losses are reduced in index order after the join) — the
-  /// knob only changes wall-clock, which is why it is safe to flip on
-  /// existing experiments.
+  /// hierarchical tree (tree_levels >= 1) dispatches its top-level child
+  /// tasks at the same width.  1 (the default) keeps every step on the
+  /// calling thread — the paper's serial loop, bit-identical to the
+  /// seed; 0 picks the hardware concurrency.  Any value yields
+  /// bit-identical results to serial (workers own disjoint arena rows and
+  /// independent RNG streams; losses are reduced in index order after the
+  /// join) — the knob only changes wall-clock, which is why it is safe to
+  /// flip on existing experiments.
   size_t threads = 1;
   /// Round-engine ring depth k (see docs/ARCHITECTURE.md, "Round
   /// pipeline").  The engine owns a ring of k + 1 {arena, θ-snapshot}
@@ -189,31 +189,23 @@ struct ExperimentConfig {
   ///              BENCH_gar_scaling.json and docs/AGGREGATORS.md).
   /// Rules that consume no pairwise distances ignore the knob.
   std::string prune = "off";
-  /// Number of aggregation shards S (see docs/ARCHITECTURE.md, "Sharded
-  /// aggregation").  1 = the paper's flat path (bit-identical).  S > 1
-  /// partitions the n submissions into S contiguous row-range views,
-  /// aggregates each with `gar` at a per-shard budget of ceil(f / S),
-  /// and robust-merges the S shard aggregates with `shard_merge_gar`.
-  /// Both stages must be admissible at their derived (count, f) pairs or
-  /// the trainer's aggregator construction throws.
-  size_t shards = 1;
-  /// Second-stage GAR applied across the S shard aggregates when
-  /// shards > 1.  "median" is admissible whenever S >= 2 f_merge + 1 and
-  /// is the recommended default; "mda" is the stronger choice when its
-  /// (S, f_merge) constraints hold.  The hierarchical tree (tree_levels
-  /// >= 1) reuses this knob as its per-node merge rule.
-  std::string shard_merge_gar = "median";
+  /// Per-node merge GAR of the hierarchical tree (tree_levels >= 1),
+  /// applied across the B child aggregates at (B, merge_f).  "median" is
+  /// admissible whenever B >= 2 merge_f + 1 and is the recommended
+  /// default; "mda" is the stronger choice when its (B, merge_f)
+  /// constraints hold.
+  std::string tree_merge_gar = "median";
   /// Hierarchical aggregation tree depth L (see docs/ARCHITECTURE.md,
-  /// "Hierarchical aggregation & wire format").  0 = off (the flat or
-  /// two-level sharded path, untouched).  L >= 1 builds an L-level
+  /// "Hierarchical aggregation & wire format").  0 = off: the paper's
+  /// flat path, bit-identical.  L >= 1 builds an L-level
   /// HierarchicalAggregator: each node splits its rows into
   /// `tree_branch` contiguous views, aggregates each with `gar` at the
-  /// leaves, and merges per node with `shard_merge_gar` at the recursed
+  /// leaves, and merges per node with `tree_merge_gar` at the recursed
   /// worst-case budget (child_f = ceil(f/B), merge_f =
-  /// floor(f/(child_f+1)) per level).  L = 1 is bit-identical to
-  /// shards = tree_branch.  Mutually exclusive with shards > 1.
-  /// tree_branch^tree_levels must not exceed the round's row count or
-  /// aggregator construction throws.
+  /// floor(f/(child_f+1)) per level).  L = 1 with B = S is the two-level
+  /// S-shard split.  Every stage must be admissible at its derived
+  /// (count, f) pair, and tree_branch^tree_levels must not exceed the
+  /// round's row count, or aggregator construction throws.
   size_t tree_levels = 0;
   /// Branching factor B per tree node; required >= 1 when tree_levels
   /// >= 1 (and must be 0 when the tree is off).

@@ -11,6 +11,7 @@
 
 #include "campaign/checkpoint.hpp"
 #include "campaign/runner.hpp"
+#include "temp_path.hpp"
 
 namespace dpbyz::campaign {
 namespace {
@@ -29,7 +30,7 @@ void write_file(const std::string& path, const std::string& blob) {
 }
 
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "dpbyz_campaign_" + name;
+  const std::string dir = process_temp_path("campaign_" + name);
   std::filesystem::remove_all(dir);
   return dir;
 }
@@ -146,13 +147,14 @@ TEST(CampaignGrid, ParsesTopologyAndParticipationAxes) {
   spec.attacks = {"none"};
   spec.dp_eps = {0.0};
   spec.participation = {"full", "iid:0.8", "stragglers:2x3"};
-  spec.topologies = {"flat", "shards:3", "tree:2,3"};
+  spec.topologies = {"flat", "tree:1x3", "tree:2,3"};
   const auto cells = expand_grid(spec);
   ASSERT_EQ(cells.size(), 9u);
   EXPECT_EQ(cells[2].topology, "tree:2x3");  // canonicalized from "2,3"
   EXPECT_EQ(cells[2].config.tree_levels, 2u);
   EXPECT_EQ(cells[2].config.tree_branch, 3u);
-  EXPECT_EQ(cells[1].config.shards, 3u);
+  EXPECT_EQ(cells[1].config.tree_levels, 1u);
+  EXPECT_EQ(cells[1].config.tree_branch, 3u);
   EXPECT_EQ(cells[3].config.participation, "iid");
   EXPECT_DOUBLE_EQ(cells[3].config.participation_prob, 0.8);
   EXPECT_EQ(cells[6].config.participation, "stragglers");
@@ -160,6 +162,8 @@ TEST(CampaignGrid, ParsesTopologyAndParticipationAxes) {
   EXPECT_EQ(cells[6].config.straggler_period, 3u);
 
   spec.topologies = {"pyramid:3"};
+  EXPECT_THROW(expand_grid(spec), std::invalid_argument);
+  spec.topologies = {"shards:3"};  // spelled tree:1x3
   EXPECT_THROW(expand_grid(spec), std::invalid_argument);
   spec.topologies = {"flat"};
   spec.participation = {"sometimes"};

@@ -145,7 +145,7 @@ TEST(GradientBatchView, EmptyAndSingleRowRanges) {
 
 TEST(GradientBatchView, UnevenShardSplitCoversEveryRowOnce) {
   // n = 7 rows into S = 3 contiguous ranges via the balanced split the
-  // sharded aggregator uses: [s*n/S, (s+1)*n/S).  Sizes 2/2/3.
+  // hierarchical tree uses: [s*n/S, (s+1)*n/S).  Sizes 2/2/3.
   GradientBatch batch(7, 2);
   for (size_t i = 0; i < 7; ++i) batch.row(i)[0] = static_cast<double>(i);
 
