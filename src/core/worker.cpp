@@ -32,14 +32,15 @@ HonestWorker::HonestWorker(const Model& model, const Dataset& train, size_t batc
 
 void HonestWorker::submit_into(const Vector& w, std::span<double> out) {
   // Every stage writes into a reused member buffer or straight into
-  // `out`: after the first call the full pipeline (sample, gradient,
+  // `out`: after the first call the full pipeline (sample, loss + gradient,
   // clip, momentum, noise) touches the heap zero times — measured by the
   // operator-new counter in bench_gar_scaling's pipeline sweep.
   sampler_.next_into(batch_size_, sample_rng_, batch_);
   // Loss is evaluated on the same batch the gradient is computed on —
-  // this is the per-step training loss series the paper plots.
-  last_batch_loss_ = model_.batch_loss(w, train_, batch_);
-  model_.batch_gradient_into(w, train_, batch_, last_clean_gradient_);
+  // this is the per-step training loss series the paper plots — and in
+  // the same pass over the batch rows.
+  last_batch_loss_ =
+      model_.batch_loss_and_gradient_into(w, train_, batch_, last_clean_gradient_);
   if (clip_) clip_l2_inplace(last_clean_gradient_, clip_norm_);
   if (momentum_ > 0.0) {
     // Worker-side exponential averaging over clipped gradients.  Note the

@@ -2,7 +2,8 @@
 //
 // At each step t an honest worker W_i (paper §2.1 + §2.3 + §5.1):
 //   1. samples a batch xi_t^(i) of b indices from its training data,
-//   2. computes the averaged mini-batch gradient h(xi) (Eq. 4),
+//   2. computes the averaged mini-batch gradient h(xi) (Eq. 4) and, in
+//      the same pass over the batch rows, the batch's mean loss,
 //   3. clips it to L2 norm G_max (sensitivity control, Assumption 1),
 //   4. adds DP noise via its local randomizer (Eq. 6/7),
 //   5. sends the result to the parameter server.
@@ -86,7 +87,7 @@ class HonestWorker {
   Rng noise_rng_;
   double last_batch_loss_ = 0.0;
   /// Reused across steps: sized to dim() once, then written in place by
-  /// batch_gradient_into / clip / momentum every submit.
+  /// batch_loss_and_gradient_into / clip / momentum every submit.
   Vector last_clean_gradient_;
   /// Reused batch-index buffer (sampler_.next_into target).
   std::vector<size_t> batch_;

@@ -30,6 +30,9 @@ class LinearModel final : public Model {
   size_t dim() const override { return num_features_ + 1; }
   LinearLoss loss_kind() const { return loss_; }
 
+  double batch_loss_and_gradient_into(const Vector& w, const Dataset& data,
+                                      std::span<const size_t> batch,
+                                      std::span<double> out) const override;
   void batch_gradient_into(const Vector& w, const Dataset& data,
                            std::span<const size_t> batch,
                            std::span<double> out) const override;
@@ -37,13 +40,19 @@ class LinearModel final : public Model {
                     std::span<const size_t> batch) const override;
   double accuracy(const Vector& w, const Dataset& data) const override;
 
-  /// Raw score z = w[0..f).x + w[f] for one sample.
-  double score(const Vector& w, std::span<const double> x) const;
-
-  /// Model output: sigma(z) for the sigmoid losses, z for least squares.
-  double predict(const Vector& w, std::span<const double> x) const;
-
  private:
+  /// What one row_pass produces (bit flags).
+  enum Output : unsigned { kLoss = 1, kGradient = 2, kCorrect = 4 };
+
+  /// The one row-blocked kernel behind all four entries (defined and
+  /// instantiated in linear_model.cpp): scores `rows` samples, row k
+  /// being data row row_at(k), and returns the summed per-sample loss
+  /// (kLoss) or the number of correct predictions (kCorrect); with
+  /// kGradient it writes the summed per-sample gradient into `g`.
+  template <unsigned kOutputs, class RowAt>
+  double row_pass(const Vector& w, const Dataset& data, size_t rows, RowAt row_at,
+                  std::span<double> g) const;
+
   size_t num_features_;
   LinearLoss loss_;
 };

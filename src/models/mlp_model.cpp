@@ -56,46 +56,61 @@ double MlpModel::predict(const Vector& w, std::span<const double> x) const {
   return sigmoid(forward(w, x, hidden_scratch()));
 }
 
+template <bool kLoss, bool kGradient>
+double MlpModel::batch_pass(const Vector& w, const Dataset& data,
+                            std::span<const size_t> batch, std::span<double> g) const {
+  if constexpr (kGradient) vec::fill(g, 0.0);
+  Vector& a1 = hidden_scratch();
+  double acc = 0.0;
+  for (size_t i : batch) {
+    const auto x = data.x(i);
+    const double y = data.y(i);
+    const double p = sigmoid(forward(w, x, a1));
+    if constexpr (kLoss) {
+      const double diff = p - y;
+      acc += diff * diff;
+    }
+    if constexpr (kGradient) {
+      const double dz2 = 2.0 * (p - y) * p * (1.0 - p);
+      g[b2_offset()] += dz2;
+      for (size_t h = 0; h < hidden_; ++h) {
+        g[w2_offset() + h] += dz2 * a1[h];
+        // d(tanh)/dz = 1 - tanh^2.
+        const double dz1 = dz2 * w[w2_offset() + h] * (1.0 - a1[h] * a1[h]);
+        g[b1_offset() + h] += dz1;
+        double* row = g.data() + w1_offset() + h * features_;
+        for (size_t j = 0; j < features_; ++j) row[j] += dz1 * x[j];
+      }
+    }
+  }
+  const double b = static_cast<double>(batch.size());
+  if constexpr (kGradient) vec::scale_inplace(g, 1.0 / b);
+  return acc / b;
+}
+
+double MlpModel::batch_loss_and_gradient_into(const Vector& w, const Dataset& data,
+                                              std::span<const size_t> batch,
+                                              std::span<double> g) const {
+  require(!batch.empty(), "MlpModel::batch_loss_and_gradient: empty batch");
+  require(data.labeled(), "MlpModel::batch_loss_and_gradient: dataset must be labeled");
+  require(g.size() == dim_, "MlpModel::batch_loss_and_gradient: wrong output dimension");
+  return batch_pass<true, true>(w, data, batch, g);
+}
+
 void MlpModel::batch_gradient_into(const Vector& w, const Dataset& data,
                                    std::span<const size_t> batch,
                                    std::span<double> g) const {
   require(!batch.empty(), "MlpModel::batch_gradient: empty batch");
   require(data.labeled(), "MlpModel::batch_gradient: dataset must be labeled");
   require(g.size() == dim_, "MlpModel::batch_gradient: wrong output dimension");
-  vec::fill(g, 0.0);
-  Vector& a1 = hidden_scratch();
-  for (size_t i : batch) {
-    const auto x = data.x(i);
-    const double y = data.y(i);
-    const double z2 = forward(w, x, a1);
-    const double p = sigmoid(z2);
-    const double dz2 = 2.0 * (p - y) * p * (1.0 - p);
-
-    g[b2_offset()] += dz2;
-    for (size_t h = 0; h < hidden_; ++h) {
-      g[w2_offset() + h] += dz2 * a1[h];
-      // d(tanh)/dz = 1 - tanh^2.
-      const double dz1 = dz2 * w[w2_offset() + h] * (1.0 - a1[h] * a1[h]);
-      g[b1_offset() + h] += dz1;
-      double* row = g.data() + w1_offset() + h * features_;
-      for (size_t j = 0; j < features_; ++j) row[j] += dz1 * x[j];
-    }
-  }
-  vec::scale_inplace(g, 1.0 / static_cast<double>(batch.size()));
+  batch_pass<false, true>(w, data, batch, g);
 }
 
 double MlpModel::batch_loss(const Vector& w, const Dataset& data,
                             std::span<const size_t> batch) const {
   require(!batch.empty(), "MlpModel::batch_loss: empty batch");
   require(data.labeled(), "MlpModel::batch_loss: dataset must be labeled");
-  Vector& a1 = hidden_scratch();
-  double acc = 0.0;
-  for (size_t i : batch) {
-    const double p = sigmoid(forward(w, data.x(i), a1));
-    const double diff = p - data.y(i);
-    acc += diff * diff;
-  }
-  return acc / static_cast<double>(batch.size());
+  return batch_pass<true, false>(w, data, batch, {});
 }
 
 double MlpModel::accuracy(const Vector& w, const Dataset& data) const {

@@ -29,6 +29,9 @@ class MlpModel final : public Model {
   size_t dim() const override { return dim_; }
   size_t hidden_units() const { return hidden_; }
 
+  double batch_loss_and_gradient_into(const Vector& w, const Dataset& data,
+                                      std::span<const size_t> batch,
+                                      std::span<double> out) const override;
   void batch_gradient_into(const Vector& w, const Dataset& data,
                            std::span<const size_t> batch,
                            std::span<double> out) const override;
@@ -52,6 +55,13 @@ class MlpModel final : public Model {
 
   /// Forward to (a1, z2); a1 must have size hidden_.
   double forward(const Vector& w, std::span<const double> x, Vector& a1) const;
+
+  /// The one batch loop behind the three batch entries: one forward pass
+  /// per row, then the loss term (kLoss) and the backprop (kGradient).
+  /// Returns the mean loss and writes the mean gradient into `g`.
+  template <bool kLoss, bool kGradient>
+  double batch_pass(const Vector& w, const Dataset& data, std::span<const size_t> batch,
+                    std::span<double> g) const;
 
   /// Per-thread hidden-activation scratch sized to hidden_.  thread_local
   /// so concurrent worker pipelines never share it; allocation-free after

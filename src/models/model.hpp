@@ -2,9 +2,11 @@
 //
 // A Model binds a parameter vector w in R^d to a per-sample loss
 // Q(w, x) and its exact gradient.  Workers compute the mini-batch
-// gradient h(xi) = (1/b) sum_j grad Q(w, x_j) (Eq. 4 of the paper);
-// the trainer evaluates full-dataset loss/accuracy for the reported
-// metrics.  All models here have closed-form gradients — no autodiff.
+// gradient h(xi) = (1/b) sum_j grad Q(w, x_j) (Eq. 4 of the paper) and
+// the mean loss on the same batch — the paper's per-step training-loss
+// series — in one pass over the batch rows; the trainer evaluates
+// test-set accuracy for the reported metrics.  All models here have
+// closed-form gradients — no autodiff.
 #pragma once
 
 #include <cstddef>
@@ -23,13 +25,21 @@ class Model {
   /// Number of trainable parameters d.
   virtual size_t dim() const = 0;
 
-  /// Mini-batch gradient (1/|batch|) sum over batch of grad Q(w, x_i),
-  /// written into `out` (length dim()) without heap allocation — the
-  /// worker pipeline's hot path, where `out` is the worker's row of the
-  /// round's GradientBatch arena or its reused clean-gradient buffer.
+  /// The worker pipeline's hot path: returns the mean loss over `batch`
+  /// and writes the mini-batch gradient (1/|batch|) sum over batch of
+  /// grad Q(w, x_i) into `out` (length dim()), from one forward pass per
+  /// row and without heap allocation.  `out` is typically the worker's
+  /// reused clean-gradient buffer.  Both outputs are bit-identical to
+  /// batch_loss and batch_gradient_into on the same arguments.
   /// Implementations keep any per-call scratch on the stack or in
   /// thread_local buffers so concurrent calls from distinct threads are
   /// safe (the threaded trainer runs one worker pipeline per thread).
+  virtual double batch_loss_and_gradient_into(const Vector& w, const Dataset& data,
+                                              std::span<const size_t> batch,
+                                              std::span<double> out) const = 0;
+
+  /// The gradient half of batch_loss_and_gradient_into, with the same
+  /// allocation and threading guarantees.
   virtual void batch_gradient_into(const Vector& w, const Dataset& data,
                                    std::span<const size_t> batch,
                                    std::span<double> out) const = 0;
@@ -42,9 +52,6 @@ class Model {
   /// Mean loss over the given rows of `data`.
   virtual double batch_loss(const Vector& w, const Dataset& data,
                             std::span<const size_t> batch) const = 0;
-
-  /// Mean loss over the entire dataset.
-  double full_loss(const Vector& w, const Dataset& data) const;
 
   /// Classification accuracy over the entire dataset; NaN for tasks
   /// without a notion of accuracy (e.g. the quadratic estimation task).

@@ -22,6 +22,9 @@ class QuadraticModel final : public Model {
   size_t dim() const override { return dim_; }
   const Vector& optimum() const { return optimum_; }
 
+  double batch_loss_and_gradient_into(const Vector& w, const Dataset& data,
+                                      std::span<const size_t> batch,
+                                      std::span<double> out) const override;
   void batch_gradient_into(const Vector& w, const Dataset& data,
                            std::span<const size_t> batch,
                            std::span<double> out) const override;
@@ -40,6 +43,13 @@ class QuadraticModel final : public Model {
   static constexpr double mu() { return 1.0; }
 
  private:
+  /// The one row loop behind the three batch entries: the loss term
+  /// (kLoss) and the batch-mean accumulation (kGradient) share each row
+  /// visit.  Returns the mean loss and writes the gradient into `out`.
+  template <bool kLoss, bool kGradient>
+  double row_pass(const Vector& w, const Dataset& data, std::span<const size_t> batch,
+                  std::span<double> out) const;
+
   size_t dim_;
   Vector optimum_;
 };

@@ -1,12 +1,19 @@
 // Unit tests for models: linear model gradients (checked against finite
-// differences), quadratic model, clipping.
+// differences), quadratic model, clipping, and the fused loss+gradient
+// entry (bit-identical to the separate entries and to a per-sample loop).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "data/synthetic.hpp"
+#include "math/rng.hpp"
 #include "models/clipping.hpp"
 #include "models/linear_model.hpp"
+#include "models/mlp_model.hpp"
 #include "models/quadratic_model.hpp"
 
 namespace dpbyz {
@@ -98,15 +105,53 @@ TEST(LinearModel, EmptyBatchThrows) {
   const Dataset d = tiny_classification();
   const LinearModel m(2, LinearLoss::kMseOnSigmoid);
   const std::vector<size_t> empty;
+  Vector g(3);
   EXPECT_THROW(m.batch_gradient(Vector(3, 0.0), d, empty), std::invalid_argument);
   EXPECT_THROW(m.batch_loss(Vector(3, 0.0), d, empty), std::invalid_argument);
+  EXPECT_THROW(m.batch_loss_and_gradient_into(Vector(3, 0.0), d, empty, g),
+               std::invalid_argument);
 }
 
 TEST(LinearModel, WrongParameterDimensionThrows) {
   const Dataset d = tiny_classification();
   const LinearModel m(2, LinearLoss::kMseOnSigmoid);
   const std::vector<size_t> batch{0};
-  EXPECT_THROW(m.batch_gradient(Vector(2, 0.0), d, batch), std::invalid_argument);
+  Vector g(m.dim());
+  for (const Vector& w : {Vector(2, 0.0), Vector(4, 0.0)}) {
+    EXPECT_THROW(m.batch_gradient(w, d, batch), std::invalid_argument);
+    EXPECT_THROW(m.batch_loss(w, d, batch), std::invalid_argument);
+    EXPECT_THROW(m.batch_loss_and_gradient_into(w, d, batch, g), std::invalid_argument);
+    EXPECT_THROW(m.accuracy(w, d), std::invalid_argument);
+  }
+}
+
+TEST(LinearModel, WrongFeatureDimensionThrows) {
+  const LinearModel m(2, LinearLoss::kMseOnSigmoid);
+  const Vector w(m.dim(), 0.0);
+  const std::vector<size_t> batch{0};
+  Vector g(m.dim());
+  for (size_t features : {1u, 3u}) {
+    const Dataset d(Matrix(4, features, 1.0), Vector{1.0, 0.0, 1.0, 0.0});
+    EXPECT_THROW(m.batch_gradient(w, d, batch), std::invalid_argument) << features;
+    EXPECT_THROW(m.batch_loss(w, d, batch), std::invalid_argument) << features;
+    EXPECT_THROW(m.batch_loss_and_gradient_into(w, d, batch, g), std::invalid_argument)
+        << features;
+    EXPECT_THROW(m.accuracy(w, d), std::invalid_argument) << features;
+  }
+}
+
+TEST(LinearModel, BatchRowOutOfRangeThrows) {
+  const Dataset d = tiny_classification();
+  const LinearModel m(2, LinearLoss::kMseOnSigmoid);
+  const Vector w(m.dim(), 0.0);
+  Vector g(m.dim());
+  // Out-of-range rows in the 4-row block and in the tail alike.
+  for (const std::vector<size_t>& batch :
+       {std::vector<size_t>{0, 1, 4, 2}, std::vector<size_t>{0, 1, 2, 3, 9}}) {
+    EXPECT_THROW(m.batch_gradient(w, d, batch), std::invalid_argument);
+    EXPECT_THROW(m.batch_loss(w, d, batch), std::invalid_argument);
+    EXPECT_THROW(m.batch_loss_and_gradient_into(w, d, batch, g), std::invalid_argument);
+  }
 }
 
 TEST(Sigmoid, StableAtExtremes) {
@@ -195,11 +240,185 @@ TEST(BatchGradientInto, QuadraticMatchesAllocatingWrapperBitForBit) {
 
 TEST(BatchGradientInto, RejectsWrongOutputDimension) {
   const Dataset d = tiny_classification();
-  const LinearModel m(2, LinearLoss::kLogistic);
   const auto batch = all_rows(d);
-  Vector wrong(m.dim() + 1);
-  EXPECT_THROW(m.batch_gradient_into(Vector(m.dim(), 0.0), d, batch, wrong),
-               std::invalid_argument);
+  const LinearModel linear(2, LinearLoss::kLogistic);
+  const MlpModel mlp(2, 3);
+  const QuadraticModel quadratic(2, Vector{0.0, 0.0});
+  for (const Model* m : {static_cast<const Model*>(&linear),
+                         static_cast<const Model*>(&mlp),
+                         static_cast<const Model*>(&quadratic)}) {
+    const Vector w = m->initial_parameters();
+    Vector wrong(m->dim() + 1);
+    EXPECT_THROW(m->batch_gradient_into(w, d, batch, wrong), std::invalid_argument);
+    EXPECT_THROW(m->batch_loss_and_gradient_into(w, d, batch, wrong), std::invalid_argument);
+  }
+}
+
+// ---- The fused loss+gradient entry -------------------------------------
+//
+// "width" is the number of input columns plus one: LinearModel(width - 1)
+// has dim() == width, QuadraticModel(width) too, MlpModel(width - 1, 3)
+// reads the same rows.  Batch sizes cover the 4-row block and every tail.
+
+constexpr size_t kFusionBatchSizes[] = {1, 2, 3, 4, 5, 7, 50};
+constexpr size_t kFusionWidths[] = {2, 69, 1000};
+constexpr size_t kFusionRows = 61;
+
+uint64_t bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+/// kFusionRows rows of N(0, 1) features (`cols` wide) with 0/1 labels.
+Dataset fusion_dataset(size_t cols, uint64_t seed) {
+  Rng rng(seed);
+  Matrix x(kFusionRows, cols);
+  Vector y(kFusionRows);
+  for (size_t i = 0; i < kFusionRows; ++i) {
+    for (double& v : x.row(i)) v = rng.normal();
+    y[i] = rng.uniform() < 0.5 ? 0.0 : 1.0;
+  }
+  return Dataset(std::move(x), std::move(y));
+}
+
+Vector fusion_parameters(size_t dim, uint64_t seed) {
+  Rng rng(seed);
+  Vector w(dim);
+  for (double& v : w) v = rng.normal(0.0, 0.3);
+  return w;
+}
+
+/// Unsorted batch with repeated rows, as the i.i.d. sampler draws them.
+std::vector<size_t> fusion_batch(size_t b) {
+  std::vector<size_t> batch(b);
+  for (size_t k = 0; k < b; ++k) batch[k] = (k * 37 + 11) % kFusionRows;
+  if (b > 2) batch[b - 1] = batch[0];
+  return batch;
+}
+
+/// Fused entry == batch_loss + batch_gradient_into, bit for bit.
+void expect_fusion_matches_separate(const Model& m, const Dataset& d, const Vector& w,
+                                    const std::string& what) {
+  for (size_t b : kFusionBatchSizes) {
+    const auto batch = fusion_batch(b);
+    Vector fused(m.dim(), 99.0);  // stale contents must be overwritten
+    Vector separate(m.dim(), -99.0);
+    const double fused_loss = m.batch_loss_and_gradient_into(w, d, batch, fused);
+    m.batch_gradient_into(w, d, batch, separate);
+    EXPECT_EQ(bits(fused_loss), bits(m.batch_loss(w, d, batch))) << what << " b=" << b;
+    size_t mismatched = 0;
+    for (size_t j = 0; j < m.dim(); ++j) mismatched += bits(fused[j]) != bits(separate[j]);
+    EXPECT_EQ(mismatched, 0u) << what << " b=" << b;
+  }
+}
+
+constexpr LinearLoss kAllLinearLosses[] = {LinearLoss::kMseOnSigmoid,
+                                           LinearLoss::kLeastSquares, LinearLoss::kLogistic};
+
+TEST(ModelFusion, LinearFusedMatchesSeparateEntriesBitForBit) {
+  for (size_t width : kFusionWidths) {
+    const Dataset d = fusion_dataset(width - 1, 7 + width);
+    const Vector w = fusion_parameters(width, 3 + width);
+    for (LinearLoss loss : kAllLinearLosses)
+      expect_fusion_matches_separate(LinearModel(width - 1, loss), d, w,
+                                     std::string(to_string(loss)) +
+                                         " width=" + std::to_string(width));
+  }
+}
+
+TEST(ModelFusion, MlpFusedMatchesSeparateEntriesBitForBit) {
+  for (size_t width : kFusionWidths) {
+    const Dataset d = fusion_dataset(width - 1, 7 + width);
+    const MlpModel m(width - 1, 3, 5);
+    expect_fusion_matches_separate(m, d, m.initial_parameters(),
+                                   "mlp width=" + std::to_string(width));
+  }
+}
+
+TEST(ModelFusion, QuadraticFusedMatchesSeparateEntriesBitForBit) {
+  for (size_t width : kFusionWidths) {
+    const Dataset d = fusion_dataset(width, 7 + width);
+    const QuadraticModel m(width, Vector(width, 0.5));
+    expect_fusion_matches_separate(m, d, fusion_parameters(width, 3 + width),
+                                   "quadratic width=" + std::to_string(width));
+  }
+}
+
+/// One-sample-at-a-time reference for LinearModel: the score, loss and
+/// gradient sums in their plain per-sample order.  The row-blocked
+/// kernel must reproduce it exactly.
+double reference_linear(LinearLoss loss, const Vector& w, const Dataset& d,
+                        const std::vector<size_t>& batch, Vector& g) {
+  const size_t f = d.dim();
+  std::fill(g.begin(), g.end(), 0.0);
+  double acc = 0.0;
+  for (size_t i : batch) {
+    const auto x = d.x(i);
+    const double y = d.y(i);
+    double z = w[f];
+    for (size_t j = 0; j < f; ++j) z += w[j] * x[j];
+    double dz = 0.0;
+    switch (loss) {
+      case LinearLoss::kMseOnSigmoid: {
+        const double p = sigmoid(z);
+        acc += (p - y) * (p - y);
+        dz = 2.0 * (p - y) * p * (1.0 - p);
+        break;
+      }
+      case LinearLoss::kLeastSquares:
+        acc += (z - y) * (z - y);
+        dz = 2.0 * (z - y);
+        break;
+      case LinearLoss::kLogistic:
+        acc += std::log1p(std::exp(-std::abs(z))) + std::max(z, 0.0) - z * y;
+        dz = sigmoid(z) - y;
+        break;
+    }
+    for (size_t j = 0; j < f; ++j) g[j] += dz * x[j];
+    g[f] += dz;
+  }
+  const double b = static_cast<double>(batch.size());
+  for (double& v : g) v *= 1.0 / b;
+  return acc / b;
+}
+
+TEST(ModelFusion, LinearMatchesPerSampleReferenceBitForBit) {
+  for (size_t width : kFusionWidths) {
+    const Dataset d = fusion_dataset(width - 1, 7 + width);
+    const Vector w = fusion_parameters(width, 3 + width);
+    for (LinearLoss loss : kAllLinearLosses) {
+      const LinearModel m(width - 1, loss);
+      for (size_t b : kFusionBatchSizes) {
+        const auto batch = fusion_batch(b);
+        Vector got(width), want(width);
+        const double got_loss = m.batch_loss_and_gradient_into(w, d, batch, got);
+        const double want_loss = reference_linear(loss, w, d, batch, want);
+        EXPECT_EQ(bits(got_loss), bits(want_loss))
+            << to_string(loss) << " width=" << width << " b=" << b;
+        size_t mismatched = 0;
+        for (size_t j = 0; j < width; ++j) mismatched += bits(got[j]) != bits(want[j]);
+        EXPECT_EQ(mismatched, 0u) << to_string(loss) << " width=" << width << " b=" << b;
+      }
+    }
+  }
+}
+
+TEST(ModelFusion, RowBlockedAccuracyMatchesPerSampleCount) {
+  static_assert(kFusionRows % 4 != 0, "the dataset must leave a block tail");
+  for (size_t width : kFusionWidths) {
+    const Dataset d = fusion_dataset(width - 1, 7 + width);
+    const Vector w = fusion_parameters(width, 3 + width);
+    const size_t f = width - 1;
+    size_t correct = 0;
+    for (size_t i = 0; i < d.size(); ++i) {
+      double z = w[f];
+      for (size_t j = 0; j < f; ++j) z += w[j] * d.x(i)[j];
+      correct += (z > 0.0) == (d.y(i) > 0.5);
+    }
+    ASSERT_GT(correct, 0u);
+    ASSERT_LT(correct, d.size());
+    const LinearModel m(f, LinearLoss::kMseOnSigmoid);
+    EXPECT_EQ(bits(m.accuracy(w, d)),
+              bits(static_cast<double>(correct) / static_cast<double>(d.size())))
+        << "width=" << width;
+  }
 }
 
 }  // namespace
