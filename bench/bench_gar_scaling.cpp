@@ -1,102 +1,56 @@
-// bench_gar_scaling — the GradientBatch refactor's headline numbers.
+// bench_gar_scaling — GAR-level scaling up to n = 1000, with correctness
+// and allocation gates.  One function per sweep:
 //
-// Sweeps (n, d) in {10, 25, 50} x {1e3, 1e4, 1e5} over Krum / MDA /
-// Bulyan / average and, for every admissible configuration, measures
-//   * the view-based batch kernel (aggregate(GradientBatch, workspace)),
-//   * the seed implementation preserved in aggregation/reference_gars,
-//   * the number of heap allocations one batch-path call performs AFTER
-//     the workspace has warmed up (counted by overriding global
-//     operator new — must be zero),
-//   * bit-identity of the two outputs.
+//   main_sweep            (n, d) in {10, 25, 50} x {1e3, 1e4, 1e5} over
+//                         Krum / MDA / Bulyan / average: the view-based
+//                         batch kernel vs the seed implementation preserved
+//                         in aggregation/reference_gars, steady-state heap
+//                         allocations of one batch call (counted by
+//                         overriding global operator new — must be zero),
+//                         and bit-identity of the two outputs.
+//   fast_math_sweep       the opt-in fast-math kernels (math/kernels.hpp)
+//                         per GAR at n = 50, d = 1e4 (and d = 1e5 without
+//                         --fast): scalar vs MathMode::kFast wall-clock, the
+//                         max relative deviation from the scalar aggregate,
+//                         fast-mode allocations, rerun determinism, and
+//                         thread-width bit-equality of the fast pairwise
+//                         matrix.  The JSON records the backend selected at
+//                         runtime ("avx2" / "unrolled8").
+//   prune_sweep           distance pruning (aggregation/pruned_oracle.hpp)
+//                         per selection GAR at d = 1e4, n up to 1000:
+//                         off vs exact vs approx wall-clock, the pruned-pair
+//                         fraction, allocations, exact-mode bit-identity and
+//                         the approx error envelope docs/AGGREGATORS.md
+//                         cites.  A "lowdim" committee (1-D latent line plus
+//                         jitter — the shape the bounds resolve) and an
+//                         "iid" control row, whose near-zero fraction is the
+//                         documented graceful-degradation case.
+//   pipeline_depth_sweep  the round engine's slot ring (core/pipeline.hpp)
+//                         at n = 50, d = 1e4, depth k in {0, 1, 2, 4}:
+//                         per-step wall-clock, the fill-wait / fill-busy /
+//                         aggregate / apply split, steady-state allocations,
+//                         depth-0 engine identity and per-depth determinism
+//                         across reruns and thread widths.  step / (busy +
+//                         aggregate) < 1 is the overlap win, only possible
+//                         with >= 2 cores, so every row records the cores.
+//   staleness_sweep       what that overlap costs: per GAR x depth on the
+//                         phishing-like task under "little" (final
+//                         accuracy/loss, min loss, steps-to-min), plus the
+//                         Theorem-1 quadratic's excess loss per depth.
+//   tree_sweep            flat vs tree (L = 2, B = 8) per GAR at n in
+//                         {50, 200, 1000} (inadmissible and intractable
+//                         cells recorded with their reasons), and the
+//                         tree(L = 1, B = 1)-vs-flat and framed-vs-in-memory
+//                         bit-identity gates.
+//   wire_sweep            per wire mode: encode/decode time, bytes per
+//                         row/round, codec allocations, checksum gates.
 //
-// A second sweep measures the FULL training step (the worker→server
-// pipeline): n honest workers sample / compute / clip / DP-noise into the
-// round arena, the server aggregates and updates.  For each configuration
-// it reports
-//   * allocations per steady-state step on the serial path (must be 0 —
-//     the PR-3 _into rewire),
-//   * wall-clock per step for the serial loop, for worker submission on
-//     the persistent ThreadPool, and for the per-call std::thread spawn
-//     dispatch the pool replaced (re-implemented locally for comparison),
-//   * whether a threaded trainer run is bit-identical to the serial run.
-//
-// A third sweep measures the round engine's slot ring
-// (core/pipeline.hpp) at n = 50, d = 1e4, one row per depth k in
-// {0, 1, 2, 4}: per-step wall-clock, the fill-wait / fill-busy /
-// aggregate / apply phase split (RunResult::phase — wait is blocked
-// time only, busy − wait is the overlap the ring bought), steady-state
-// allocations per step, bit-identity of the depth-0 engine's fill order
-// against the synchronous loop, and per-depth determinism across reruns
-// and thread widths.  The headline column is step / (fill_busy +
-// aggregate): < 1 means the overlap beats the serial sum — only
-// physically possible with >= 2 cores, so the JSON records the host's
-// core count next to the ratio.  A companion convergence-vs-staleness
-// study records what the overlap costs: per GAR (average / krum / mda /
-// median) x depth on the phishing-like task under the "little" attack
-// (final accuracy/loss, min loss, steps-to-min), plus the Theorem-1
-// strongly-convex quadratic's exact excess loss per depth.
-//
-// A fourth sweep measures the opt-in fast-math kernels (math/kernels.hpp)
-// per GAR at n = 50, d = 1e4 and at the large-d point d = 1e5 (skipped
-// under --fast): wall-clock of the scalar (default, bit-identical) mode
-// vs MathMode::kFast, the max relative output deviation against the
-// scalar aggregate, steady-state allocations in fast mode, and two
-// determinism gates — rerun bit-equality of the fast aggregate, and
-// bit-equality of the fast pairwise matrix across thread widths.  The
-// JSON records which backend the binary *selected at runtime*
-// ("avx2" / "unrolled8" / forced "avx2-fma").
-//
-// A fifth sweep measures distance pruning (aggregation/pruned_oracle.hpp)
-// per selection GAR at d = 1e4, n up to 1000 (n = 50 only under --fast):
-// prune=off vs prune=exact vs prune=approx wall-clock, the pruned-pair
-// fraction (1 − exact_pairs/total_pairs, deterministic per generator
-// seed), steady-state allocations in both pruned modes, exact-mode
-// bit-identity against off, and the approx error envelope
-// (selection-disagreement fraction and aggregate relative L2 error vs
-// off) that docs/AGGREGATORS.md points at.  Geometry decides the win,
-// so the sweep measures both shapes honestly: the "lowdim" generator
-// (committee on a 1-D latent line through R^d plus tiny jitter — the
-// dominant-gradient-direction shape the bounds resolve) and an "iid"
-// isotropic control row whose near-zero fraction and sub-1 speedup are
-// the documented graceful-degradation case, not a regression.
-//
-// A sixth sweep measures the hierarchical aggregation tree and the
-// framed wire format (aggregation/hierarchical.hpp, src/net/): flat vs
-// tree (L = 2, B = 8) per GAR at n in {50, 200, 1000} (inadmissible
-// cells — 64 leaves exceed n = 50, krum on 3-row leaves — and the
-// intractable flat-MDA cells are recorded with their reasons, not
-// hidden), the tree(L = 1, B = 1)-vs-flat and framed-vs-in-memory
-// bit-identity gates, and per wire mode the encode/decode throughput,
-// bytes per row/round, codec allocation count, and the checksum gates.
-//
-// A seventh sweep measures elastic membership epochs (core/membership.hpp)
-// on the churn-stress config (phishing task, median, "little", n = 11,
-// f = 3): rounds/s and allocs/step at churn off vs zero-probability
-// epochs vs moderate (join 0.6 / leave 0.1) vs high (0.9 / 0.3) churn —
-// the epoch rows amortize one boundary into the allocation window so
-// renegotiation cost is counted — plus the per-boundary renegotiation
-// overhead (zero-prob E = 5 vs off) and the per-checkpoint write cost.
-// Four contracts ride along: churn-off steady state stays
-// allocation-free, zero-probability epochs are trajectory-inert,
-// checkpoint writes never perturb a run, and a kill-at-half/restore run
-// is bit-identical to the uninterrupted one.
-//
-// Results go to stdout as a table and to BENCH_gar_scaling.json in the
+// Results go to stdout as tables and to BENCH_gar_scaling.json in the
 // working directory.  Flags: --fast (skip d = 1e5 and the n = 1000
-// tree cells), --budget-ms M (per-measurement time budget, default
-// 300), --check (exit nonzero on any correctness/allocation regression:
-// non-identical outputs, nonzero steady-state allocs, engine depth-0
-// drift, depth-k nondeterminism, fast-mode nondeterminism or an
-// out-of-bound fast-mode deviation, prune=exact drift from off, a
-// pruned-mode steady-state allocation, a collapsed lowdim krum
-// pruned-pair fraction, a tree(L = 1, B = 1) diverging from the flat
-// rule, an ideal framed tree diverging from the in-memory one, a wire codec that allocates, fails the raw64
-// byte-exact round trip, passes a corrupted frame, breaks the int8
-// error contract, a churn-off trainer that allocates at steady state,
-// a zero-probability churn epoch that perturbs the trajectory, a
-// checkpoint write that perturbs a run, or a kill/restore cycle that
-// loses bit-identity — the CI smoke step runs this so perf-path
-// regressions fail PRs).
+// cells), --budget-ms M (per-measurement time budget, default 300),
+// --check (exit 1 if any gate registered by a sweep failed, printing each
+// failure; CI runs `--fast --budget-ms 50 --check`).  Timings are only
+// reported, never gated.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -104,38 +58,36 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <memory>
 #include <new>
 #include <optional>
+#include <span>
 #include <string>
-#include <vector>
-
 #include <thread>
+#include <vector>
 
 #include "aggregation/aggregator.hpp"
 #include "aggregation/hierarchical.hpp"
 #include "aggregation/mda.hpp"
 #include "aggregation/pruned_oracle.hpp"
 #include "aggregation/reference_gars.hpp"
-#include "net/frame.hpp"
-#include "net/transport.hpp"
 #include "core/experiment.hpp"
-#include "core/server.hpp"
 #include "core/trainer.hpp"
-#include "core/worker.hpp"
 #include "data/synthetic.hpp"
-#include "dp/gaussian_mechanism.hpp"
 #include "math/gradient_batch.hpp"
 #include "math/kernels.hpp"
 #include "math/rng.hpp"
 #include "math/vector_ops.hpp"
 #include "models/linear_model.hpp"
-#include "models/optimizer.hpp"
-#include "utils/parallel.hpp"
+#include "net/frame.hpp"
+#include "net/transport.hpp"
+#include "utils/table.hpp"
 
 // ---- global allocation counter -------------------------------------------
 // Replacing the global allocation functions lets the bench *prove* the
 // zero-allocation claim instead of asserting it.  Counting is toggled only
-// around the measured call.
+// around the measured call (count_allocs).
 
 namespace {
 std::atomic<size_t> g_alloc_count{0};
@@ -164,8 +116,6 @@ void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
-// ---- bench ----------------------------------------------------------------
-
 namespace {
 
 using dpbyz::GradientBatch;
@@ -173,9 +123,129 @@ using dpbyz::Rng;
 using dpbyz::Vector;
 using Clock = std::chrono::steady_clock;
 
+// ---- harness: timing, allocation counts, gates, rows ----------------------
+
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
+
+/// Median wall time of one call, with `budget_s` seconds to spend.
+template <typename Fn>
+double time_call(Fn fn, double budget_s) {
+  // One untimed call decides how many reps the budget affords.
+  const auto probe_start = Clock::now();
+  fn();
+  const double probe = seconds_since(probe_start);
+  size_t reps = probe > 0 ? static_cast<size_t>(budget_s / probe) : 50;
+  if (reps < 1) reps = 1;
+  if (reps > 50) reps = 50;
+
+  std::vector<double> times(reps);
+  for (size_t r = 0; r < reps; ++r) {
+    const auto start = Clock::now();
+    fn();
+    times[r] = seconds_since(start);
+  }
+  std::sort(times.begin(), times.end());
+  return times[reps / 2];
+}
+
+/// Heap allocations performed by one call of `fn`.
+template <typename Fn>
+size_t count_allocs(Fn fn) {
+  g_alloc_count.store(0);
+  g_count_allocs.store(true);
+  fn();
+  g_count_allocs.store(false);
+  return g_alloc_count.load();
+}
+
+/// The gate registry: every sweep states its contracts inline, and
+/// --check fails the process at exit if any of them did not hold.
+std::vector<std::string> g_failures;
+
+void gate(bool ok, const std::string& message) {
+  if (!ok) g_failures.push_back(message);
+}
+
+/// One named, typed cell: `json` is its JSON literal; the table shows the
+/// same literal, unquoted.
+struct Cell {
+  std::string key, json;
+};
+using Row = std::vector<Cell>;
+
+Cell str(const char* key, const std::string& v) { return {key, "\"" + v + "\""}; }
+Cell num(const char* key, size_t v) { return {key, std::to_string(v)}; }
+Cell real(const char* key, double v, const char* format = "%.6f") {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, format, v);
+  return {key, buf};
+}
+Cell flag(const char* key, bool v) { return {key, v ? "true" : "false"}; }
+Cell null(const char* key) { return {key, "null"}; }
+
+/// The BENCH JSON under construction: ordered top-level entries, each a
+/// scalar literal or a section of rows (printed as a table when added).
+class Report {
+ public:
+  void scalar(const Cell& c) {
+    std::printf("%s: %s\n", c.key.c_str(), c.json.c_str());
+    entries_.push_back({c.key, c.json});
+  }
+
+  void section(const std::string& key, const std::vector<Row>& rows) {
+    std::string json = "[";
+    for (size_t i = 0; i < rows.size(); ++i) {
+      json += i ? ",\n    {" : "\n    {";
+      for (size_t c = 0; c < rows[i].size(); ++c)
+        json += (c ? ", \"" : "\"") + rows[i][c].key + "\": " + rows[i][c].json;
+      json += "}";
+    }
+    json += "\n  ]";
+    entries_.push_back({key, json});
+    row_count_ += rows.size();
+
+    if (rows.empty()) return;
+    std::vector<std::string> header;
+    for (const Cell& c : rows[0]) header.push_back(c.key);
+    dpbyz::table::Printer table(std::move(header));
+    for (const Row& r : rows) {
+      std::vector<std::string> cells;
+      for (const Cell& c : r)
+        cells.push_back(c.json.front() == '"' ? c.json.substr(1, c.json.size() - 2)
+                                              : c.json);
+      table.row(std::move(cells));
+    }
+    table.print();
+    std::fflush(stdout);
+  }
+
+  bool write(const char* path) const {
+    FILE* out = std::fopen(path, "w");
+    if (!out) return false;
+    std::fputs("{", out);
+    for (size_t i = 0; i < entries_.size(); ++i)
+      std::fprintf(out, "%s\n  \"%s\": %s", i ? "," : "", entries_[i].key.c_str(),
+                   entries_[i].json.c_str());
+    std::fputs("\n}\n", out);
+    std::fclose(out);
+    return true;
+  }
+
+  size_t row_count() const { return row_count_; }
+
+ private:
+  std::vector<Cell> entries_;
+  size_t row_count_ = 0;
+};
+
+struct Options {
+  bool fast = false;
+  double budget_s = 0.3;
+};
+
+// ---- inputs ----------------------------------------------------------------
 
 std::vector<Vector> make_gradients(size_t n, size_t d, uint64_t seed) {
   Rng rng(seed);
@@ -187,24 +257,6 @@ std::vector<Vector> make_gradients(size_t n, size_t d, uint64_t seed) {
     g.push_back(std::move(v));
   }
   return g;
-}
-
-Vector run_reference(const std::string& gar, std::span<const Vector> g, size_t n, size_t f) {
-  if (gar == "average") return dpbyz::reference::average(g);
-  if (gar == "krum") return dpbyz::reference::krum(g, f);
-  if (gar == "mda") return dpbyz::reference::mda(g, f);
-  if (gar == "bulyan") return dpbyz::reference::bulyan(g, n, f);
-  throw std::invalid_argument("run_reference: unknown GAR '" + gar + "'");
-}
-
-/// Largest admissible f per rule at this n (MDA capped so the exact
-/// subset search stays tractable across the whole sweep).
-size_t pick_f(const std::string& gar, size_t n) {
-  if (gar == "average") return 0;
-  if (gar == "krum") return (n - 3) / 2;
-  if (gar == "bulyan") return (n - 3) / 4;
-  if (gar == "mda") return 2;
-  return 0;
 }
 
 /// Low-intrinsic-dimension committee for the prune sweep: honest rows
@@ -234,9 +286,185 @@ std::vector<Vector> make_lowdim_gradients(size_t n, size_t f, size_t d, uint64_t
   return g;
 }
 
-/// Largest admissible f per selection rule at this n for the prune sweep
-/// (MDA/MdaGreedy keep the small f = 2 of the main sweep: their cost is
-/// the subset search, not the Byzantine count).
+Vector to_vector(std::span<const double> view) { return Vector(view.begin(), view.end()); }
+
+Vector run_reference(const std::string& gar, std::span<const Vector> g, size_t n, size_t f) {
+  if (gar == "average") return dpbyz::reference::average(g);
+  if (gar == "krum") return dpbyz::reference::krum(g, f);
+  if (gar == "mda") return dpbyz::reference::mda(g, f);
+  if (gar == "bulyan") return dpbyz::reference::bulyan(g, n, f);
+  throw std::invalid_argument("run_reference: unknown GAR '" + gar + "'");
+}
+
+/// Largest admissible f per rule at this n (MDA capped so the exact
+/// subset search stays tractable across the whole sweep).
+size_t pick_f(const std::string& gar, size_t n) {
+  if (gar == "average") return 0;
+  if (gar == "krum") return (n - 3) / 2;
+  if (gar == "bulyan") return (n - 3) / 4;
+  if (gar == "mda") return 2;
+  return 0;
+}
+
+/// Whether the main and fast-math sweeps measure `gar` at (n, f).
+bool swept(const std::string& gar, size_t n, size_t f) {
+  if (gar != "average" && f == 0) return false;
+  return gar != "mda" || dpbyz::Mda::subset_count(n, f) <= dpbyz::Mda::kMaxSubsets;
+}
+
+const std::vector<std::string> kGars{"average", "krum", "mda", "bulyan"};
+
+// ---- main sweep: batch kernel vs the seed implementation -------------------
+
+void main_sweep(Report& report, const Options& opt) {
+  dpbyz::table::banner("batch kernel vs seed implementation");
+  std::vector<size_t> ds{1000, 10000, 100000};
+  if (opt.fast) ds.pop_back();
+
+  std::vector<Row> rows;
+  for (const auto& gar : kGars) {
+    for (size_t n : {size_t{10}, size_t{25}, size_t{50}}) {
+      for (size_t d : ds) {
+        const size_t f = pick_f(gar, n);
+        if (!swept(gar, n, f)) continue;
+
+        const auto gradients = make_gradients(n, d, 42);
+        const GradientBatch batch = GradientBatch::from_vectors(gradients);
+        const auto agg = dpbyz::make_aggregator(gar, n, f);
+        dpbyz::AggregatorWorkspace ws;
+
+        // Warm up the workspace, then prove the steady state is
+        // allocation-free.
+        agg->aggregate(batch, ws);
+        const size_t allocs = count_allocs([&] { agg->aggregate(batch, ws); });
+        const bool identical =
+            to_vector(agg->aggregate(batch, ws)) == run_reference(gar, gradients, n, f);
+
+        const double new_s = time_call([&] { agg->aggregate(batch, ws); }, opt.budget_s);
+        // The seed aggregate() validated finiteness/dimensions on every
+        // call (Aggregator::validate_inputs) before running the GAR, and
+        // the batch path above still does; include that cost on the
+        // reference side for a like-for-like comparison.
+        const double ref_s = time_call(
+            [&] {
+              for (const Vector& g : gradients)
+                if (g.size() != d || !dpbyz::vec::all_finite(g))
+                  throw std::invalid_argument("malformed gradient");
+              run_reference(gar, gradients, n, f);
+            },
+            opt.budget_s);
+
+        const std::string cell =
+            gar + " n=" + std::to_string(n) + " d=" + std::to_string(d);
+        gate(identical, cell + ": batch kernel diverged from the seed implementation");
+        gate(allocs == 0, cell + ": " + std::to_string(allocs) + " allocs after warmup");
+        rows.push_back({str("gar", gar), num("n", n), num("d", d), num("f", f),
+                        real("batch_ms", new_s * 1e3), real("seed_ms", ref_s * 1e3),
+                        real("speedup", ref_s / new_s, "%.3f"),
+                        num("allocs_after_warmup", allocs), flag("bit_identical", identical)});
+      }
+    }
+  }
+  report.section("results", rows);
+}
+
+// ---- fast-math sweep: opt-in kernels vs the scalar default -----------------
+// Same aggregator, same inputs, only the process-global math mode
+// differs.  Selection GARs on generic-position inputs pick the same rows
+// in both modes, so their deviation column is exactly 0; the column
+// exists to catch a future kernel change that violates the documented
+// reassociation bound.
+
+void fast_math_sweep(Report& report, const Options& opt) {
+  dpbyz::table::banner("fast-math kernels vs the scalar default");
+  const size_t n = 50;
+  std::vector<size_t> ds{10000};
+  if (!opt.fast) ds.push_back(100000);  // the large-d point
+
+  // Thread-width determinism of the fast pairwise kernel, probed at an
+  // extent that actually clears the parallel-dispatch threshold:
+  // 1225 * 16384 = 20.1M pair-coordinates > 2^24, so the threads = 4 call
+  // genuinely runs on the ThreadPool (the sweep's d = 1e4 point does not
+  // — 12.25M — and would compare the serial branch against itself).
+  // Runs under --fast too: this is the CI smoke's only threaded-fast-mode
+  // gate.
+  bool threads_identical = false;
+  {
+    const GradientBatch probe = GradientBatch::from_vectors(make_gradients(n, 16384, 42));
+    const dpbyz::kernels::MathModeScope scope(dpbyz::kernels::MathMode::kFast);
+    std::vector<double> pw_serial(n * n), pw_threaded(n * n);
+    dpbyz::pairwise_dist_sq(probe, pw_serial, 1);
+    dpbyz::pairwise_dist_sq(probe, pw_threaded, 4);
+    threads_identical = pw_serial == pw_threaded;
+  }
+  gate(threads_identical, "fast-math pairwise kernel drifts across thread widths");
+  report.scalar(str("fast_math_backend", dpbyz::kernels::fast_backend()));
+  report.scalar(flag("fast_pairwise_threads_identical", threads_identical));
+
+  // The fast-mode accuracy contract (kernels.hpp): selections agree on
+  // generic inputs, so end-to-end deviation stays far inside 1e-8.
+  constexpr double kFastRelErrBound = 1e-8;
+  std::vector<Row> rows;
+  for (const auto& gar : kGars) {
+    const size_t f = pick_f(gar, n);
+    if (!swept(gar, n, f)) continue;  // same tractability skip as the main sweep
+    for (size_t d : ds) {
+      const GradientBatch batch = GradientBatch::from_vectors(make_gradients(n, d, 42));
+      const auto agg = dpbyz::make_aggregator(gar, n, f);
+      dpbyz::AggregatorWorkspace ws;
+
+      const Vector scalar_out = to_vector(agg->aggregate(batch, ws));
+      const double scalar_s = time_call([&] { agg->aggregate(batch, ws); }, opt.budget_s);
+
+      Vector fast_out, fast_rerun;
+      size_t allocs = 0;
+      double fast_s = 0.0;
+      {
+        const dpbyz::kernels::MathModeScope scope(dpbyz::kernels::MathMode::kFast);
+        fast_out = to_vector(agg->aggregate(batch, ws));  // warm fast path
+        allocs = count_allocs([&] { agg->aggregate(batch, ws); });
+        fast_rerun = to_vector(agg->aggregate(batch, ws));
+        fast_s = time_call([&] { agg->aggregate(batch, ws); }, opt.budget_s);
+      }
+
+      double max_rel_err = 0.0;
+      for (size_t i = 0; i < scalar_out.size(); ++i) {
+        const double denom = std::max(1.0, std::abs(scalar_out[i]));
+        max_rel_err = std::max(max_rel_err, std::abs(fast_out[i] - scalar_out[i]) / denom);
+      }
+      const bool deterministic = fast_out == fast_rerun;
+
+      const std::string cell = "fast-math " + gar + " d=" + std::to_string(d);
+      gate(deterministic, cell + ": fast mode is not deterministic across reruns");
+      gate(max_rel_err <= kFastRelErrBound, cell + ": deviation " +
+                                                std::to_string(max_rel_err) +
+                                                " exceeds the documented bound");
+      gate(allocs == 0, cell + ": " + std::to_string(allocs) + " allocs after warmup");
+      rows.push_back({str("gar", gar), num("n", n), num("d", d), num("f", f),
+                      real("scalar_ms", scalar_s * 1e3), real("fast_ms", fast_s * 1e3),
+                      real("speedup", scalar_s / fast_s, "%.3f"),
+                      real("max_rel_err", max_rel_err, "%.3e"),
+                      num("allocs_after_warmup", allocs), flag("deterministic", deterministic)});
+    }
+  }
+  report.section("fast_math_sweep", rows);
+}
+
+// ---- prune sweep: certified distance pruning under the selection GARs ------
+// d = 1e4 throughout; n climbs to 1000 for krum (>= 3x in exact mode) and
+// bulyan (whose theta = n − 2f winner rows must all be exactly scored, so
+// its fraction is structurally capped near 1 − (theta/n)² — reported,
+// not hidden).  MDA stops at n = 50: on this near-tied lowdim geometry
+// its branch-and-bound subset search explodes past ~10 s/call already at
+// n = 200 (the DFS, not the distance matrix, dominates — the regime
+// mda_greedy and the tree exist for), and a tracked bench should stay
+// rerunnable.  mda_greedy and multi-krum (which must exactly score its
+// m = n − f selected rows, capping its win structurally) stay at
+// n <= 200 to keep the full run under budget.
+
+/// Largest admissible f per selection rule at this n (MDA/MdaGreedy keep
+/// the small f = 2 of the main sweep: their cost is the subset search,
+/// not the Byzantine count).
 size_t pick_prune_f(const std::string& gar, size_t n) {
   if (gar == "krum" || gar == "multi-krum") return (n - 3) / 2;
   if (gar == "bulyan") return (n - 3) / 4;
@@ -273,17 +501,10 @@ std::vector<size_t> selected_set(const std::string& gar, const GradientBatch& ba
 /// Fraction of `a`'s indices not in `b` (both sorted; equal-size sets in
 /// every caller, so this is symmetric in practice).
 double selection_disagreement(const std::vector<size_t>& a, const std::vector<size_t>& b) {
-  size_t i = 0, j = 0, common = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == b[j]) {
-      ++common, ++i, ++j;
-    } else if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return a.empty() ? 0.0 : 1.0 - static_cast<double>(common) / static_cast<double>(a.size());
+  std::vector<size_t> common;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(common));
+  return a.empty() ? 0.0
+                   : 1.0 - static_cast<double>(common.size()) / static_cast<double>(a.size());
 }
 
 /// ||got − want||₂ / ||want||₂.
@@ -297,1455 +518,495 @@ double rel_l2_err(const Vector& got, const Vector& want) {
   return den > 0.0 ? std::sqrt(num / den) : std::sqrt(num);
 }
 
-/// Median wall time of one call, with `budget_s` seconds to spend.
-template <typename Fn>
-double time_call(Fn fn, double budget_s) {
-  // One untimed call decides how many reps the budget affords.
-  const auto probe_start = Clock::now();
-  fn();
-  const double probe = seconds_since(probe_start);
-  size_t reps = probe > 0 ? static_cast<size_t>(budget_s / probe) : 50;
-  if (reps < 1) reps = 1;
-  if (reps > 50) reps = 50;
-
-  std::vector<double> times(reps);
-  for (size_t r = 0; r < reps; ++r) {
-    const auto start = Clock::now();
-    fn();
-    times[r] = seconds_since(start);
-  }
-  std::sort(times.begin(), times.end());
-  return times[reps / 2];
-}
-
-struct Row {
-  std::string gar;
-  size_t n, d, f;
-  double new_s, ref_s;
-  size_t allocs;
-  bool identical;
-};
-
-struct PipelineRow {
-  std::string mechanism, gar;
-  size_t n, d, threads;
-  double allocs_per_step;  // serial steady-state (must be 0)
-  double serial_step_s, pool_step_s, spawn_step_s;
-  bool threaded_identical;  // pool-backed trainer == serial trainer, bit-for-bit
-};
-
-struct FastRow {
-  std::string gar;
-  size_t n, d, f;
-  double scalar_s, fast_s;
-  double max_rel_err;   // fast vs scalar aggregate, per coordinate
-  size_t fast_allocs;   // steady-state allocs of one fast-mode call
-  bool deterministic;   // fast-mode rerun is bit-equal
-};
-
-struct PruneRow {
-  std::string gar, geometry;  // "lowdim" | "iid"
-  size_t n, d, f;
-  double off_s, exact_s, approx_s;
-  double pruned_fraction;  // 1 − exact_pairs/total_pairs after one exact call
-  size_t exact_allocs, approx_allocs;  // steady state, must be 0
-  bool exact_identical;                // exact aggregate == off aggregate
-  double approx_disagreement;          // selected-index fraction differing from off
-  double approx_rel_err;               // L2 rel err of approx aggregate vs off
-};
-
-struct DepthRow {
-  std::string gar;
-  size_t depth;  // ring depth k (staleness bound)
-  size_t n, d, f, cores;
-  double step_s;                                    // wall-clock per step
-  double fill_wait_s, fill_busy_s, agg_s, apply_s;  // per-step phase split
-  double allocs;                                    // steady-state, per step
-  bool engine_identical;  // depth 0 only: iid p=1 == full fill order (else true)
-  bool deterministic;     // rerun + other thread width bit-equal
-};
-
-struct StalenessRow {
-  std::string gar;
-  size_t depth;
-  double final_accuracy, final_loss, min_loss;
-  size_t steps_to_min;
-};
-
-struct QuadStalenessRow {
-  size_t depth;
-  double excess_loss;  // Theorem-1 task: Q(w_{T+1}) - Q*, mean over seeds
-};
-
-struct TreeRow {
-  std::string gar, topology;  // "flat" | "tree(L=2,B=8)"
-  size_t n, d, f;
-  double ms = 0.0;
-  size_t allocs = 0;
-  std::string note;  // nonempty = cell skipped (infeasible / intractable)
-};
-
-/// Correctness gates of the hierarchical tree and its wire, asserted
-/// under --check per inner GAR: tree(L = 1, B = 1) must be bit-identical
-/// to the flat rule, the L = 1 tree over the ideal framed link must be
-/// bit-identical to the in-memory tree, and the framed steady state must
-/// be allocation-free.  (The L = 1 outputs themselves are hexfloat-pinned
-/// in tests/test_hierarchical.cpp.)
-struct TreeGateRow {
-  std::string gar;
-  size_t n, f, branch;
-  bool b1_identical;         // tree(L=1, B=1) == flat rule, bit-for-bit
-  bool l1_framed_identical;  // ideal raw64 edges == in-memory tree, bit-for-bit
-  size_t framed_allocs;      // steady-state allocs of one framed aggregate
-};
-
-struct WireRow {
-  std::string mode;  // raw64 | int8 | topk
-  size_t d, bytes_per_row, frames_per_row;
-  double encode_ms, decode_ms;      // one full row, median
-  size_t codec_allocs;              // encode+decode cycle after warmup
-  bool round_trip_exact;            // decoded row == source (raw64 only)
-  bool corrupt_rejected;            // one flipped byte fails the checksum
-  double max_abs_err;               // decoded vs source (int8/topk)
-  uint64_t tree_bytes_per_round;    // framed L=1 B=4 n=48 tree, one round
-};
-
-/// One elastic-membership training run on the phishing task (median GAR,
-/// "little" attack, n = 11, f = 3 — the churn-stress tool's config).
-/// The allocs column amortizes one epoch boundary into its 20-step
-/// window for the epoch rows, so renegotiation cost is included rather
-/// than dodged; the churn-off row's steady state is gated at zero.
-struct ChurnRow {
-  std::string churn;  // "off" | "epoch:<E>x<join>x<leave>"
-  size_t epoch_rounds;
-  double join_prob, leave_prob;
-  size_t rounds;       // trained rounds
-  size_t events;       // applied churn-trace length
-  size_t final_rows;   // last round's aggregated row count (h_e + f_e)
-  double step_s;       // wall-clock per round, one full run
-  double allocs;       // per step; epoch rows amortize one boundary
-  bool off_identical;  // zero-prob epoch row: bitwise == churn-off run
-};
-
-/// The per-call std::thread dispatch the persistent pool replaced — kept
-/// here (only) so the pool's spawn-cost win is measured, not asserted.
-template <typename Fn>
-void spawn_dispatch(size_t count, Fn fn, size_t threads) {
-  std::atomic<size_t> cursor{0};
-  std::vector<std::thread> spawned;
-  spawned.reserve(threads);
-  for (size_t t = 0; t < threads; ++t) {
-    spawned.emplace_back([&] {
-      while (true) {
-        const size_t i = cursor.fetch_add(1);
-        if (i >= count) return;
-        fn(i);
-      }
-    });
-  }
-  for (auto& th : spawned) th.join();
-}
-
-/// One full worker→server training-step harness over the paper-shaped
-/// linear task (d = 69), reused across the measurement modes.
-struct PipelineHarness {
-  dpbyz::Dataset data;
-  dpbyz::LinearModel model;
-  dpbyz::GaussianMechanism mechanism;
-  std::vector<dpbyz::HonestWorker> workers;
-  dpbyz::ParameterServer server;
-  GradientBatch submissions;
-  size_t t = 1;
-
-  PipelineHarness(size_t n, const std::string& gar, size_t batch_size)
-      : data(dpbyz::make_phishing_like(dpbyz::PhishingLikeConfig{}, 42)),
-        model(dpbyz::PhishingLikeConfig{}.num_features, dpbyz::LinearLoss::kMseOnSigmoid),
-        mechanism(dpbyz::GaussianMechanism::for_clipped_gradients(0.2, 1e-6, 1e-2,
-                                                                  batch_size)),
-        server(dpbyz::make_aggregator(gar, n, gar == "average" ? 0 : 2),
-               dpbyz::SgdOptimizer(model.dim(), dpbyz::constant_lr(2.0), 0.99),
-               model.initial_parameters()),
-        submissions(n, model.dim()) {
-    Rng root(1);
-    workers.reserve(n);
-    for (size_t i = 0; i < n; ++i)
-      workers.emplace_back(model, data, batch_size, 1e-2, mechanism,
-                           root.derive("worker-" + std::to_string(i)));
-  }
-
-  /// One synchronous round; threads == 1 is the serial loop, "pool" mode
-  /// dispatches submission on the shared ThreadPool, "spawn" mode on
-  /// per-call std::threads.
-  void step(size_t threads, bool use_spawn) {
-    const Vector& w = server.parameters();
-    auto submit = [&](size_t i) { workers[i].submit_into(w, submissions.row(i)); };
-    if (threads <= 1) {
-      for (size_t i = 0; i < workers.size(); ++i) submit(i);
-    } else if (use_spawn) {
-      spawn_dispatch(workers.size(), submit, threads);
-    } else {
-      dpbyz::ThreadPool::shared().run(workers.size(), submit, threads);
+void prune_sweep(Report& report, const Options& opt) {
+  dpbyz::table::banner("distance pruning: off vs exact vs approx");
+  const size_t d = 10000;
+  struct PruneCell {
+    std::string gar, geometry;
+    size_t n;
+  };
+  std::vector<PruneCell> cells;
+  for (const std::string gar : {"krum", "multi-krum", "mda", "mda_greedy", "bulyan"}) {
+    for (size_t n : {size_t{50}, size_t{200}, size_t{1000}}) {
+      if (opt.fast && n > 50) continue;
+      if (gar == "mda" && n > 50) continue;
+      if (n == 1000 && gar != "krum" && gar != "bulyan") continue;
+      cells.push_back({gar, "lowdim", n});
     }
-    server.step(submissions, t++);
   }
-};
+  cells.push_back({"krum", "iid", opt.fast ? size_t{50} : size_t{200}});
+
+  std::vector<Row> rows;
+  for (const PruneCell& cell : cells) {
+    const size_t n = cell.n;
+    const size_t f = pick_prune_f(cell.gar, n);
+    const auto gradients = cell.geometry == "iid" ? make_gradients(n, d, 42)
+                                                  : make_lowdim_gradients(n, f, d, 42);
+    const GradientBatch batch = GradientBatch::from_vectors(gradients);
+    const size_t m = cell.gar == "multi-krum" ? n - f : 0;
+
+    const auto off = dpbyz::make_aggregator(cell.gar, n, f);
+    const auto exact = dpbyz::make_aggregator(cell.gar, n, f, dpbyz::PruneMode::kExact);
+    const auto approx = dpbyz::make_aggregator(cell.gar, n, f, dpbyz::PruneMode::kApprox);
+    dpbyz::AggregatorWorkspace ws_off, ws_exact, ws_approx;
+
+    const Vector off_out = to_vector(off->aggregate(batch, ws_off));
+    const auto off_sel = selected_set(cell.gar, batch, ws_off, off_out, m);
+    const double off_s = time_call([&] { off->aggregate(batch, ws_off); }, opt.budget_s);
+
+    // Exact mode: warm, read the (deterministic) pruned-pair fraction off
+    // the oracle, check bit-identity, prove the steady state
+    // allocation-free, then time.
+    const bool exact_identical = to_vector(exact->aggregate(batch, ws_exact)) == off_out;
+    const double pruned_fraction =
+        1.0 - static_cast<double>(ws_exact.oracle.exact_pairs()) /
+                  static_cast<double>(ws_exact.oracle.total_pairs());
+    const size_t exact_allocs = count_allocs([&] { exact->aggregate(batch, ws_exact); });
+    const double exact_s =
+        time_call([&] { exact->aggregate(batch, ws_exact); }, opt.budget_s);
+
+    // Approx mode: same drill, plus the error envelope against off.
+    const Vector approx_out = to_vector(approx->aggregate(batch, ws_approx));
+    const auto approx_sel = selected_set(cell.gar, batch, ws_approx, approx_out, m);
+    const size_t approx_allocs = count_allocs([&] { approx->aggregate(batch, ws_approx); });
+    const double approx_s =
+        time_call([&] { approx->aggregate(batch, ws_approx); }, opt.budget_s);
+
+    // Exact mode must stay invisible (bit-identical, allocation-free in
+    // both pruned modes), and the lowdim krum rows must actually prune —
+    // the pair count is deterministic per (generator seed, geometry), so
+    // a collapsed fraction means a bound or visit-order regression, not
+    // machine noise.  No wall-clock gate.
+    const std::string where = cell.gar + " n=" + std::to_string(n);
+    gate(exact_identical,
+         "prune=exact " + where + " (" + cell.geometry + ") diverged from prune=off");
+    gate(exact_allocs == 0, "prune=exact " + where + ": " + std::to_string(exact_allocs) +
+                                " allocs after warmup");
+    gate(approx_allocs == 0, "prune=approx " + where + ": " +
+                                 std::to_string(approx_allocs) + " allocs after warmup");
+    gate(cell.geometry != "lowdim" || cell.gar != "krum" || pruned_fraction >= 0.5,
+         "prune=exact " + where + ": pruned-pair fraction " +
+             std::to_string(pruned_fraction) +
+             " collapsed below 0.5 on low-intrinsic-dimension data");
+    rows.push_back({str("gar", cell.gar), str("geometry", cell.geometry), num("n", n),
+                    num("d", d), num("f", f), real("off_ms", off_s * 1e3),
+                    real("exact_ms", exact_s * 1e3), real("approx_ms", approx_s * 1e3),
+                    real("speedup_exact", off_s / exact_s, "%.3f"),
+                    real("speedup_approx", off_s / approx_s, "%.3f"),
+                    real("pruned_pair_fraction", pruned_fraction, "%.4f"),
+                    num("exact_allocs_after_warmup", exact_allocs),
+                    num("approx_allocs_after_warmup", approx_allocs),
+                    flag("exact_bit_identical", exact_identical),
+                    real("approx_selection_disagreement",
+                         selection_disagreement(off_sel, approx_sel), "%.4f"),
+                    real("approx_aggregate_rel_err", rel_l2_err(approx_out, off_out), "%.3e")});
+  }
+  report.section("prune_sweep", rows);
+}
+
+// ---- pipeline-depth sweep: the ring engine's overlap ------------------------
+// n = 50, d = 1e4, MDA at f = 2: a task where the fill (n worker pipelines
+// at b × d work each) and the O(n²d) aggregation are the same order of
+// magnitude — the shape the ring exists for.
+
+bool same_run(const dpbyz::RunResult& a, const dpbyz::RunResult& b) {
+  return a.final_parameters == b.final_parameters && a.train_loss == b.train_loss;
+}
+
+void pipeline_depth_sweep(Report& report, const Options& opt) {
+  dpbyz::table::banner("round-engine ring depth (mda, n = 50, d = 1e4)");
+  const size_t n = 50, d = 10000, f = 2;
+  const size_t steps = opt.fast ? 10 : 20;
+  const size_t cores = std::max(1u, std::thread::hardware_concurrency());
+
+  dpbyz::BlobsConfig bc;
+  bc.num_samples = 256;
+  bc.num_features = d;
+  bc.separation = 4.0;
+  const dpbyz::Dataset data = dpbyz::make_blobs(bc, 42);
+  const dpbyz::LinearModel model(d, dpbyz::LinearLoss::kMseOnSigmoid);
+
+  dpbyz::ExperimentConfig cfg;
+  cfg.num_workers = n;
+  cfg.num_byzantine = f;
+  cfg.gar = "mda";
+  cfg.batch_size = 10;
+  cfg.steps = steps;
+  cfg.eval_every = steps;  // accuracy only at the final step
+
+  auto run_cfg = [&](const dpbyz::ExperimentConfig& c) {
+    return dpbyz::Trainer(c, model, data, data).run();
+  };
+  // Steady-state allocations per step, isolated as the alloc-count
+  // difference between a 5- and a 25-step run: construction, reserves
+  // (k + 1 ring arenas included), the single final eval and the GAR-cache
+  // warmup all happen once in each run and cancel in the difference.
+  auto allocs_per_step = [&](dpbyz::ExperimentConfig c) {
+    auto counted = [&](size_t s) {
+      c.steps = s;
+      c.eval_every = s;
+      return count_allocs([&] { run_cfg(c); });
+    };
+    const size_t base = counted(5);
+    return static_cast<double>(counted(25) - base) / 20.0;
+  };
+
+  std::vector<Row> rows;
+  for (const size_t depth : {size_t{0}, size_t{1}, size_t{2}, size_t{4}}) {
+    dpbyz::ExperimentConfig c = cfg;
+    c.pipeline_depth = depth;
+    c.threads = depth > 0 && cores > 1 ? 2 : 1;
+
+    const auto start = Clock::now();
+    const auto run = run_cfg(c);
+    const double per_step = 1e3 / static_cast<double>(steps);
+    const double step_ms = seconds_since(start) * per_step;
+    const double busy_ms = run.phase.fill_busy * per_step;
+    const double agg_ms = run.phase.aggregate * per_step;
+
+    // Determinism at this depth: rerun, and rerun at the other thread
+    // width — both must be bit-equal (the ring is timing-independent).
+    dpbyz::ExperimentConfig alt = c;
+    alt.threads = c.threads == 1 ? 2 : 1;
+    const bool deterministic = same_run(run_cfg(c), run) && same_run(run_cfg(alt), run);
+
+    // Engine schedule-neutrality (depth 0 only): iid participation at
+    // p = 1 never drops anyone, so its trajectory must be bit-equal to
+    // the default full-participation run (the depth-0 seed semantics are
+    // golden-pinned in tests/test_pipeline.cpp, the depth-k ones in
+    // tests/test_pipeline_ring.cpp).
+    std::optional<bool> engine_identical;
+    if (depth == 0) {
+      dpbyz::ExperimentConfig engine0 = c;
+      engine0.participation = "iid";
+      engine0.participation_prob = 1.0;
+      engine_identical = same_run(run_cfg(engine0), run);
+    }
+    const double allocs = allocs_per_step(c);
+
+    // Ring gates: the depth-0 engine matches the synchronous loop, every
+    // depth replays bit-identically across reruns and thread widths, and
+    // the steady state stays allocation-free (the k + 1 arenas are all
+    // preallocated up front).
+    gate(engine_identical.value_or(true),
+         "round engine depth-0 fill order diverged from the synchronous loop");
+    gate(deterministic, "depth-" + std::to_string(depth) +
+                            " trainer is not deterministic across reruns/thread widths");
+    gate(allocs == 0.0, "round engine depth-" + std::to_string(depth) +
+                            " steady state allocates (" + std::to_string(allocs) +
+                            " per step)");
+    rows.push_back({str("gar", "mda"), num("depth", depth), num("n", n), num("d", d),
+                    num("f", f), num("cores", cores), real("step_ms", step_ms),
+                    real("fill_wait_ms", run.phase.fill * per_step),
+                    real("fill_busy_ms", busy_ms), real("aggregate_ms", agg_ms),
+                    real("apply_ms", run.phase.apply * per_step),
+                    real("step_vs_busy_plus_agg", step_ms / (busy_ms + agg_ms), "%.3f"),
+                    real("allocs_per_step", allocs, "%.1f"),
+                    engine_identical ? flag("engine_bit_identical", *engine_identical)
+                                     : null("engine_bit_identical"),
+                    flag("deterministic", deterministic)});
+  }
+  report.section("pipeline_depth_sweep", rows);
+  if (cores == 1)
+    std::printf("(single-CPU host: the fill thread and the aggregating thread "
+                "time-slice one core, so step_vs_busy_plus_agg cannot drop below 1 "
+                "here — the overlap win needs >= 2 cores.)\n");
+}
+
+// ---- convergence vs staleness: what the overlap costs ----------------------
+// The ring buys wall-clock by training on gradients up to k versions
+// stale; this sweep records what that does to convergence, per GAR, on
+// the paper's phishing-like task (n = 11, f = 2, "little" attack), so
+// docs/ARCHITECTURE.md's caveat table points at measured numbers.  A
+// quadratic companion runs the Theorem-1 strongly-convex task (exact
+// excess loss) over the same depths — the cleanest single number for the
+// staleness penalty.
+
+void staleness_sweep(Report& report, const Options& opt) {
+  dpbyz::table::banner("convergence vs ring depth (phishing-like, little attack)");
+  const std::vector<size_t> depths{0, 1, 2, 4};
+  const dpbyz::PhishingExperiment phishing(42);
+  dpbyz::ExperimentConfig cfg;
+  cfg.num_workers = 11;
+  cfg.num_byzantine = 2;
+  cfg.steps = opt.fast ? 100 : 300;
+  cfg.eval_every = cfg.steps;
+  cfg.batch_size = 50;
+  cfg.attack_enabled = true;
+  cfg.attack = "little";
+
+  std::vector<Row> rows;
+  for (const char* gar : {"average", "krum", "mda", "median"}) {
+    for (const size_t depth : depths) {
+      dpbyz::ExperimentConfig c = cfg;
+      c.gar = gar;
+      c.pipeline_depth = depth;
+      const auto run = phishing.run(c);
+      rows.push_back({str("gar", gar), num("depth", depth),
+                      real("final_accuracy", run.final_accuracy),
+                      real("final_loss", run.final_train_loss, "%.8f"),
+                      real("min_loss", run.min_train_loss, "%.8f"),
+                      num("steps_to_min", run.steps_to_min_loss)});
+    }
+  }
+  report.section("staleness_convergence", rows);
+
+  // Theorem-1 tie-in: gamma_t = 1/(lambda t) on the strongly-convex
+  // Gaussian-mean task; excess loss of the final iterate, mean over 3
+  // seeds, per depth.  Theorem 1's O(1/T) rate is proved for the
+  // synchronous loop; the committed curve shows how gently (or not)
+  // bounded staleness degrades it.
+  dpbyz::table::banner("theorem-1 quadratic (d = 32): excess loss vs ring depth");
+  const dpbyz::QuadraticExperiment quad(32, 1.0, 42, 20000);
+  dpbyz::ExperimentConfig qc;
+  qc.num_workers = 4;
+  qc.num_byzantine = 0;
+  qc.gar = "average";
+  qc.batch_size = 10;
+  qc.steps = opt.fast ? 150 : 400;
+  qc.eval_every = qc.steps;
+  qc.momentum = 0.0;
+  qc.lr_schedule = "theorem1";
+  qc.learning_rate = 1.0;
+  qc.clip_norm = 3.0;
+  qc.clip_enabled = false;
+  rows.clear();
+  for (const size_t depth : depths) {
+    dpbyz::ExperimentConfig c = qc;
+    c.pipeline_depth = depth;
+    rows.push_back({num("depth", depth),
+                    real("excess_loss", quad.mean_excess_loss(c, 3), "%.8f")});
+  }
+  report.section("staleness_quadratic_excess", rows);
+}
+
+// ---- tree sweep: flat vs the hierarchical tree ------------------------------
+// d = 1e3 so the n = 1000 flat O(n²d) point stays rerunnable.  f = 2 for
+// the robust rules, f = 0 for average.  Cells whose derived per-level
+// budget is inadmissible — (L=2, B=8) needs 64 non-empty leaves, and
+// 3-row leaves cannot host krum at f_child = 1 — are recorded with the
+// constructor's own message, not silently dropped; same for the flat-MDA
+// cells whose subset search is intractable at large n (the regime the
+// prune sweep documents — trees keep the MDA leaves small, which is
+// exactly the point of the comparison).
+
+void tree_sweep(Report& report, const Options& opt) {
+  dpbyz::table::banner("flat vs tree(L=2,B=8), d = 1e3");
+  const size_t d = 1000;
+  std::vector<size_t> ns{50, 200, 1000};
+  if (opt.fast) ns.pop_back();
+
+  std::vector<Row> rows;
+  for (const std::string gar : {"krum", "mda", "average"}) {
+    for (const size_t n : ns) {
+      const size_t f = gar == "average" ? 0 : 2;
+      const GradientBatch batch = GradientBatch::from_vectors(make_gradients(n, d, 42));
+      // `make` returns the aggregator to measure, or throws
+      // std::invalid_argument with the reason the cell is skipped.
+      auto measure = [&](const std::string& topology, auto make) {
+        Row row{str("gar", gar), str("topology", topology), num("n", n), num("d", d),
+                num("f", f)};
+        try {
+          const auto agg = make();
+          dpbyz::AggregatorWorkspace ws;
+          agg->aggregate(batch, ws);  // warm every retained buffer
+          const size_t allocs = count_allocs([&] { agg->aggregate(batch, ws); });
+          const double ms =
+              time_call([&] { agg->aggregate(batch, ws); }, opt.budget_s) * 1e3;
+          gate(allocs == 0, topology + " " + gar + " n=" + std::to_string(n) + ": " +
+                                std::to_string(allocs) + " allocs after warmup");
+          row.insert(row.end(), {real("step_ms", ms), num("allocs_after_warmup", allocs),
+                                 null("skipped")});
+        } catch (const std::invalid_argument& e) {
+          row.insert(row.end(), {null("step_ms"), null("allocs_after_warmup"),
+                                 str("skipped", e.what())});
+        }
+        rows.push_back(std::move(row));
+      };
+      measure("flat", [&] {
+        // Constructible (C(n, 2) subsets is under the cap) but the
+        // branch-and-bound wall-clock is the prune sweep's documented
+        // blow-up regime; a tracked bench stays rerunnable.
+        if (gar == "mda" && n > 50)
+          throw std::invalid_argument("flat MDA subset search intractable at this n");
+        return dpbyz::make_aggregator(gar, n, f);
+      });
+      measure("tree(L=2,B=8)", [&] {
+        return std::make_unique<dpbyz::HierarchicalAggregator>(gar, "median", n, f, 2, 8);
+      });
+    }
+  }
+  report.section("tree_sweep", rows);
+
+  // Tree gates at n = 48, per inner GAR: tree(L = 1, B = 1) must be
+  // bit-identical to the flat rule, the (L = 1, B = 4) tree over the
+  // ideal framed raw64 link bit-identical to the in-memory tree, and the
+  // framed steady state allocation-free.  (The L = 1 outputs themselves
+  // are hexfloat-pinned in tests/test_hierarchical.cpp.)
+  dpbyz::table::banner("tree gates: B = 1 vs flat, framed vs in-memory (n = 48)");
+  const size_t gn = 48;
+  const GradientBatch batch = GradientBatch::from_vectors(make_gradients(gn, 4096, 42));
+  const dpbyz::net::LinkConfig ideal;  // raw64, no faults
+  rows.clear();
+  for (const std::string gar : {"krum", "mda", "average"}) {
+    const size_t f = gar == "average" ? 0 : 2;
+    const auto flat = dpbyz::make_aggregator(gar, gn, f);
+    const dpbyz::HierarchicalAggregator single(gar, "median", gn, f, 1, 1);
+    const dpbyz::HierarchicalAggregator tree(gar, "median", gn, f, 1, 4);
+    const dpbyz::HierarchicalAggregator framed(gar, "median", gn, f, 1, 4, 1,
+                                               dpbyz::PruneMode::kOff, &ideal);
+    dpbyz::AggregatorWorkspace ws_flat, ws_b1, ws_t, ws_f;
+    const bool b1_identical =
+        to_vector(single.aggregate(batch, ws_b1)) == to_vector(flat->aggregate(batch, ws_flat));
+    const Vector want = to_vector(tree.aggregate(batch, ws_t));
+    framed.aggregate(batch, ws_f);  // warm the wire buffers
+    std::span<const double> view;
+    const size_t allocs = count_allocs([&] { view = framed.aggregate(batch, ws_f); });
+    const bool framed_identical = to_vector(view) == want;
+
+    gate(b1_identical, "tree(L=1,B=1) " + gar + " diverged from the flat rule");
+    gate(framed_identical,
+         "framed (ideal raw64) tree L=1 " + gar + " diverged from the in-memory tree B=4");
+    gate(allocs == 0, "framed tree " + gar + ": " + std::to_string(allocs) +
+                          " allocs after warmup");
+    rows.push_back({str("gar", gar), num("n", gn), num("f", f), num("branch", 4),
+                    flag("b1_bit_identical_to_flat", b1_identical),
+                    flag("l1_framed_bit_identical", framed_identical),
+                    num("framed_allocs_after_warmup", allocs)});
+  }
+  report.section("tree_gates", rows);
+}
+
+// ---- wire sweep: encode/decode throughput and bytes per round ---------------
+// One d = 1e4 row per mode: median encode and decode+apply wall-clock, the
+// steady-state allocation count of a full codec cycle (must be 0), the
+// checksum gates (raw64 round trip byte-exact; one flipped byte always
+// rejected), the decode error of the lossy modes, and the bytes one framed
+// n = 48, L = 1, B = 4 tree round puts on the wire per mode (4 edges ×
+// d = 4096).
+
+void wire_sweep(Report& report, const Options& opt) {
+  dpbyz::table::banner("wire codec per mode, d = 1e4");
+  namespace net = dpbyz::net;
+  const size_t wd = 10000;
+  Rng rng(42);
+  const Vector row = rng.normal_vector(wd, 1.0);
+  const GradientBatch tree_batch = GradientBatch::from_vectors(make_gradients(48, 4096, 42));
+
+  std::vector<Row> rows;
+  for (const net::WireMode mode :
+       {net::WireMode::kRaw64, net::WireMode::kInt8, net::WireMode::kTopK}) {
+    const std::string name = net::wire_mode_name(mode);
+    net::FrameEncoder enc(mode, 1024);
+    net::FrameBuffer frames;
+    Vector decoded(wd, 0.0);
+    auto encode = [&] {
+      frames.clear();
+      enc.encode_row(row, frames);
+    };
+    auto decode_all = [&] {
+      for (size_t i = 0; i < frames.count(); ++i) {
+        net::FrameView chunk;
+        if (net::decode_frame(frames.frame(i), chunk) != net::DecodeStatus::kOk ||
+            !net::apply_chunk(chunk, decoded))
+          std::abort();  // a healthy frame must always decode
+      }
+    };
+
+    // Warm, then prove the encode+decode cycle is allocation-free.
+    encode();
+    decode_all();
+    const size_t allocs = count_allocs([&] {
+      encode();
+      decode_all();
+    });
+    const double encode_ms = time_call(encode, opt.budget_s) * 1e3;
+    const double decode_ms = time_call(decode_all, opt.budget_s) * 1e3;
+
+    std::fill(decoded.begin(), decoded.end(), 0.0);
+    decode_all();
+    const bool round_trip_exact = decoded == row;
+    double max_abs_err = 0.0;
+    for (size_t i = 0; i < wd; ++i)
+      max_abs_err = std::max(max_abs_err, std::abs(decoded[i] - row[i]));
+
+    // One flipped byte anywhere must fail the CRC.
+    const std::span<const uint8_t> good = frames.frame(0);
+    std::vector<uint8_t> bad(good.begin(), good.end());
+    bad[bad.size() / 2] ^= 0x40;
+    net::FrameView chunk;
+    const bool corrupt_rejected = net::decode_frame(bad, chunk) != net::DecodeStatus::kOk;
+
+    // Bytes one framed tree round actually sends under this mode.
+    net::LinkConfig link;
+    link.wire = mode;
+    const dpbyz::HierarchicalAggregator framed("median", "median", 48, 2, 1, 4, 1,
+                                               dpbyz::PruneMode::kOff, &link);
+    dpbyz::AggregatorWorkspace ws;
+    framed.aggregate(tree_batch, ws);
+
+    gate(mode != net::WireMode::kRaw64 || round_trip_exact,
+         "raw64 wire round trip is not byte-exact");
+    gate(corrupt_rejected, name + " wire: a corrupted frame passed the checksum");
+    gate(allocs == 0,
+         name + " wire codec: " + std::to_string(allocs) + " allocs after warmup");
+    gate(mode != net::WireMode::kInt8 || max_abs_err <= 1.0 / 254.0 * 6.0,
+         "int8 wire decode error exceeds the ||row||_inf/254 contract");
+    rows.push_back({str("mode", name), num("d", wd), num("bytes_per_row", enc.bytes_per_row(wd)),
+                    num("frames_per_row", enc.chunks(wd)), real("encode_ms", encode_ms),
+                    real("decode_ms", decode_ms), num("codec_allocs_after_warmup", allocs),
+                    flag("round_trip_exact", round_trip_exact),
+                    flag("corrupt_rejected", corrupt_rejected),
+                    real("max_abs_err", max_abs_err, "%.3e"),
+                    num("tree_bytes_per_round", framed.channel_stats().bytes_sent)});
+  }
+  report.section("wire_sweep", rows);
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool fast = false;
+  Options opt;
   bool check = false;
   double budget_ms = 300.0;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fast") == 0) fast = true;
+    if (std::strcmp(argv[i], "--fast") == 0) opt.fast = true;
     if (std::strcmp(argv[i], "--check") == 0) check = true;
     if (std::strcmp(argv[i], "--budget-ms") == 0 && i + 1 < argc)
       budget_ms = std::atof(argv[++i]);
   }
-  const double budget_s = budget_ms / 1000.0;
-
-  const std::vector<std::string> gars{"average", "krum", "mda", "bulyan"};
-  const std::vector<size_t> ns{10, 25, 50};
-  std::vector<size_t> ds{1000, 10000, 100000};
-  if (fast) ds.pop_back();
-
-  std::vector<Row> rows;
-  std::printf("%-8s %4s %7s %4s | %12s %12s %8s | %7s %10s\n", "gar", "n", "d", "f",
-              "batch (ms)", "seed (ms)", "speedup", "allocs", "identical");
-  std::printf("---------------------------------------------------------------------------------\n");
-
-  for (const auto& gar : gars) {
-    for (size_t n : ns) {
-      for (size_t d : ds) {
-        const size_t f = pick_f(gar, n);
-        if (gar != "average" && f == 0) continue;
-        if (gar == "mda" && dpbyz::Mda::subset_count(n, f) > dpbyz::Mda::kMaxSubsets)
-          continue;
-
-        const auto gradients = make_gradients(n, d, 42);
-        const GradientBatch batch = GradientBatch::from_vectors(gradients);
-        const auto agg = dpbyz::make_aggregator(gar, n, f);
-        dpbyz::AggregatorWorkspace ws;
-
-        // Warm up the workspace, then prove the steady state is
-        // allocation-free.
-        agg->aggregate(batch, ws);
-        g_alloc_count.store(0);
-        g_count_allocs.store(true);
-        agg->aggregate(batch, ws);
-        g_count_allocs.store(false);
-        const size_t allocs = g_alloc_count.load();
-
-        const auto view = agg->aggregate(batch, ws);
-        const Vector got(view.begin(), view.end());
-        const Vector want = run_reference(gar, gradients, n, f);
-        const bool identical = got == want;
-
-        const double new_s =
-            time_call([&] { agg->aggregate(batch, ws); }, budget_s);
-        // The seed aggregate() validated finiteness/dimensions on every
-        // call (Aggregator::validate_inputs) before running the GAR, and
-        // the batch path above still does; include that cost on the
-        // reference side for a like-for-like comparison.
-        const double ref_s = time_call(
-            [&] {
-              for (const Vector& g : gradients)
-                if (g.size() != d || !dpbyz::vec::all_finite(g))
-                  throw std::invalid_argument("malformed gradient");
-              run_reference(gar, gradients, n, f);
-            },
-            budget_s);
-
-        rows.push_back({gar, n, d, f, new_s, ref_s, allocs, identical});
-        std::printf("%-8s %4zu %7zu %4zu | %12.3f %12.3f %7.2fx | %7zu %10s\n",
-                    gar.c_str(), n, d, f, new_s * 1e3, ref_s * 1e3, ref_s / new_s,
-                    allocs, identical ? "yes" : "NO");
-        std::fflush(stdout);
-      }
-    }
-  }
-
-  // ---- fast-math sweep: opt-in kernels vs the scalar default -------------
-  // Same aggregator, same inputs, only the process-global math mode
-  // differs.  Selection GARs on generic-position inputs pick the same
-  // rows in both modes, so their deviation column is exactly 0; the
-  // column exists to catch a future kernel change that violates the
-  // documented reassociation bound.
-  std::vector<FastRow> fast_rows;
-  bool fast_pairwise_threads_identical = true;
-  {
-    const size_t n = 50;
-    std::vector<size_t> fast_ds{10000};
-    if (!fast) fast_ds.push_back(100000);  // the large-d point
-
-    // Thread-width determinism of the fast pairwise kernel, probed at an
-    // extent that actually clears the parallel-dispatch threshold:
-    // 1225 * 16384 = 20.1M pair-coordinates > 2^24, so the threads = 4
-    // call genuinely runs on the ThreadPool (the sweep's d = 1e4 point
-    // does not — 12.25M — and would compare the serial branch against
-    // itself).  Runs under --fast too: this is the CI smoke's only
-    // threaded-fast-mode gate.
-    {
-      const size_t probe_d = 16384;
-      const auto probe_gradients = make_gradients(n, probe_d, 42);
-      const GradientBatch probe = GradientBatch::from_vectors(probe_gradients);
-      const dpbyz::kernels::MathModeScope scope(dpbyz::kernels::MathMode::kFast);
-      std::vector<double> pw_serial(n * n), pw_threaded(n * n);
-      dpbyz::pairwise_dist_sq(probe, pw_serial, 1);
-      dpbyz::pairwise_dist_sq(probe, pw_threaded, 4);
-      fast_pairwise_threads_identical = pw_serial == pw_threaded;
-    }
-    std::printf("\nfast-math backend: %s  (threaded pairwise bit-identical: %s)\n",
-                dpbyz::kernels::fast_backend(),
-                fast_pairwise_threads_identical ? "yes" : "NO");
-    std::printf("%-8s %4s %7s %4s | %12s %12s %8s | %10s %7s %6s\n", "gar", "n",
-                "d", "f", "scalar (ms)", "fast (ms)", "speedup", "max relerr",
-                "allocs", "det");
-    std::printf(
-        "---------------------------------------------------------------------------\n");
-    for (const auto& gar : gars) {
-      const size_t f = pick_f(gar, n);
-      if (gar != "average" && f == 0) continue;
-      if (gar == "mda" && dpbyz::Mda::subset_count(n, f) > dpbyz::Mda::kMaxSubsets)
-        continue;  // same tractability skip as the main sweep
-      for (size_t d : fast_ds) {
-        const auto gradients = make_gradients(n, d, 42);
-        const GradientBatch batch = GradientBatch::from_vectors(gradients);
-        const auto agg = dpbyz::make_aggregator(gar, n, f);
-        dpbyz::AggregatorWorkspace ws;
-
-        const auto scalar_view = agg->aggregate(batch, ws);
-        const Vector scalar_out(scalar_view.begin(), scalar_view.end());
-        const double scalar_s =
-            time_call([&] { agg->aggregate(batch, ws); }, budget_s);
-
-        Vector fast_out, fast_rerun;
-        size_t fast_allocs = 0;
-        double fast_s = 0.0;
-        {
-          const dpbyz::kernels::MathModeScope scope(dpbyz::kernels::MathMode::kFast);
-          const auto fast_view = agg->aggregate(batch, ws);  // warm fast path
-          fast_out.assign(fast_view.begin(), fast_view.end());
-          g_alloc_count.store(0);
-          g_count_allocs.store(true);
-          agg->aggregate(batch, ws);
-          g_count_allocs.store(false);
-          fast_allocs = g_alloc_count.load();
-          const auto rerun_view = agg->aggregate(batch, ws);
-          fast_rerun.assign(rerun_view.begin(), rerun_view.end());
-          fast_s = time_call([&] { agg->aggregate(batch, ws); }, budget_s);
-        }
-
-        double max_rel_err = 0.0;
-        for (size_t i = 0; i < scalar_out.size(); ++i) {
-          const double denom = std::max(1.0, std::abs(scalar_out[i]));
-          max_rel_err =
-              std::max(max_rel_err, std::abs(fast_out[i] - scalar_out[i]) / denom);
-        }
-        const bool deterministic = fast_out == fast_rerun;
-
-        fast_rows.push_back(
-            {gar, n, d, f, scalar_s, fast_s, max_rel_err, fast_allocs, deterministic});
-        std::printf("%-8s %4zu %7zu %4zu | %12.3f %12.3f %7.2fx | %10.2e %7zu %6s\n",
-                    gar.c_str(), n, d, f, scalar_s * 1e3, fast_s * 1e3,
-                    scalar_s / fast_s, max_rel_err, fast_allocs,
-                    deterministic ? "yes" : "NO");
-        std::fflush(stdout);
-      }
-    }
-  }
-
-  // ---- prune sweep: certified distance pruning under the selection GARs --
-  // d = 1e4 throughout; n climbs to 1000 for krum (the ISSUE headline:
-  // >= 3x in exact mode) and bulyan (whose theta = n − 2f winner rows
-  // must all be exactly scored, so its fraction is structurally capped
-  // near 1 − (theta/n)² — reported, not hidden).  MDA stops at n = 50:
-  // on this near-tied lowdim geometry its branch-and-bound subset
-  // search explodes past ~10 s/call already at n = 200 (the DFS, not
-  // the distance matrix, dominates — the regime mda_greedy and the tree
-  // exist for), and a tracked bench should stay rerunnable.  mda_greedy
-  // and multi-krum (which must exactly score its m = n − f selected
-  // rows, capping its win structurally) stay at n <= 200 to keep the
-  // full run under budget.
-  std::vector<PruneRow> prune_rows;
-  {
-    const size_t d = 10000;
-    struct PruneCell {
-      std::string gar, geometry;
-      size_t n;
-    };
-    std::vector<PruneCell> cells;
-    for (const std::string gar :
-         {"krum", "multi-krum", "mda", "mda_greedy", "bulyan"}) {
-      for (size_t n : std::vector<size_t>{50, 200, 1000}) {
-        if (fast && n > 50) continue;
-        if (gar == "mda" && n > 50) continue;
-        if (n == 1000 && gar != "krum" && gar != "bulyan") continue;
-        cells.push_back({gar, "lowdim", n});
-      }
-    }
-    cells.push_back({"krum", "iid", fast ? size_t{50} : size_t{200}});
-
-    std::printf("\n%-10s %-6s %4s %7s %4s | %10s %10s %10s | %6s %6s | %5s | %3s %3s | %5s | %8s %9s\n",
-                "gar", "geom", "n", "d", "f", "off (ms)", "exact(ms)", "apprx(ms)",
-                "spd_ex", "spd_ap", "frac", "aEx", "aAp", "ident", "disagree",
-                "relerr");
-    std::printf(
-        "--------------------------------------------------------------------------"
-        "--------------------------------------------------------\n");
-    for (const PruneCell& cell : cells) {
-      const size_t n = cell.n;
-      const size_t f = pick_prune_f(cell.gar, n);
-      const auto gradients = cell.geometry == "iid"
-                                 ? make_gradients(n, d, 42)
-                                 : make_lowdim_gradients(n, f, d, 42);
-      const GradientBatch batch = GradientBatch::from_vectors(gradients);
-      const size_t m = cell.gar == "multi-krum" ? n - f : 0;
-
-      const auto off = dpbyz::make_aggregator(cell.gar, n, f);
-      const auto exact = dpbyz::make_aggregator(cell.gar, n, f, dpbyz::PruneMode::kExact);
-      const auto approx =
-          dpbyz::make_aggregator(cell.gar, n, f, dpbyz::PruneMode::kApprox);
-      dpbyz::AggregatorWorkspace ws_off, ws_exact, ws_approx;
-
-      const auto off_view = off->aggregate(batch, ws_off);
-      const Vector off_out(off_view.begin(), off_view.end());
-      const auto off_sel = selected_set(cell.gar, batch, ws_off, off_out, m);
-      const double off_s = time_call([&] { off->aggregate(batch, ws_off); }, budget_s);
-
-      // Exact mode: warm, prove the steady state allocation-free, read
-      // the (deterministic) pruned-pair fraction off the oracle, check
-      // bit-identity, then time.
-      const auto exact_view = exact->aggregate(batch, ws_exact);
-      const Vector exact_out(exact_view.begin(), exact_view.end());
-      const bool exact_identical = exact_out == off_out;
-      const double pruned_fraction =
-          1.0 - static_cast<double>(ws_exact.oracle.exact_pairs()) /
-                    static_cast<double>(ws_exact.oracle.total_pairs());
-      g_alloc_count.store(0);
-      g_count_allocs.store(true);
-      exact->aggregate(batch, ws_exact);
-      g_count_allocs.store(false);
-      const size_t exact_allocs = g_alloc_count.load();
-      const double exact_s =
-          time_call([&] { exact->aggregate(batch, ws_exact); }, budget_s);
-
-      // Approx mode: same drill, plus the error envelope against off.
-      const auto approx_view = approx->aggregate(batch, ws_approx);
-      const Vector approx_out(approx_view.begin(), approx_view.end());
-      const auto approx_sel = selected_set(cell.gar, batch, ws_approx, approx_out, m);
-      g_alloc_count.store(0);
-      g_count_allocs.store(true);
-      approx->aggregate(batch, ws_approx);
-      g_count_allocs.store(false);
-      const size_t approx_allocs = g_alloc_count.load();
-      const double approx_s =
-          time_call([&] { approx->aggregate(batch, ws_approx); }, budget_s);
-
-      const double disagreement = selection_disagreement(off_sel, approx_sel);
-      const double rel_err = rel_l2_err(approx_out, off_out);
-
-      prune_rows.push_back({cell.gar, cell.geometry, n, d, f, off_s, exact_s,
-                            approx_s, pruned_fraction, exact_allocs, approx_allocs,
-                            exact_identical, disagreement, rel_err});
-      std::printf("%-10s %-6s %4zu %7zu %4zu | %10.3f %10.3f %10.3f | %5.2fx %5.2fx "
-                  "| %5.3f | %3zu %3zu | %5s | %8.4f %9.2e\n",
-                  cell.gar.c_str(), cell.geometry.c_str(), n, d, f, off_s * 1e3,
-                  exact_s * 1e3, approx_s * 1e3, off_s / exact_s, off_s / approx_s,
-                  pruned_fraction, exact_allocs, approx_allocs,
-                  exact_identical ? "yes" : "NO", disagreement, rel_err);
-      std::fflush(stdout);
-    }
-  }
-
-  // ---- pipeline sweep: the full worker→server step -----------------------
-  // d = 69 linear task at paper batch sizes; the serial path must be
-  // allocation-free at steady state (the PR-3 _into rewire), and the
-  // pool dispatch must beat per-call thread spawn.  Thread width for the
-  // threaded modes: min(4, hardware).
-  std::vector<PipelineRow> pipeline_rows;
-  {
-    // A fixed dispatch width of 4: on wide hosts the threaded modes show
-    // the parallel win, on narrow ones they still measure what the pool
-    // exists for — per-step dispatch overhead (persistent wake/join vs
-    // 4 fresh std::thread clones every step).
-    const size_t threads = 4;
-    std::printf("\n%-10s %-8s %4s %4s %3s | %11s | %11s %11s %11s | %9s | %9s\n",
-                "mechanism", "gar", "n", "d", "T", "allocs/step", "serial (ms)",
-                "pool (ms)", "spawn (ms)", "pool/spwn", "thr ident");
-    std::printf(
-        "--------------------------------------------------------------------------"
-        "--------------------------\n");
-    dpbyz::ThreadPool::shared();  // warm the pool outside any measurement
-
-    for (const auto& [gar, n] : std::vector<std::pair<std::string, size_t>>{
-             {"average", 11}, {"mda", 11}, {"mda", 25}}) {
-      const size_t batch_size = 50;
-
-      // Serial steady-state allocation count, over 5 steps after warmup.
-      PipelineHarness counted(n, gar, batch_size);
-      for (int s = 0; s < 3; ++s) counted.step(1, false);
-      g_alloc_count.store(0);
-      g_count_allocs.store(true);
-      for (int s = 0; s < 5; ++s) counted.step(1, false);
-      g_count_allocs.store(false);
-      const double allocs_per_step = static_cast<double>(g_alloc_count.load()) / 5.0;
-
-      // Wall-clock per step for the three dispatch modes.  One harness
-      // per mode: each advances its own worker RNG streams; the per-step
-      // work is identical, which is all a timing comparison needs.
-      PipelineHarness serial_h(n, gar, batch_size);
-      serial_h.step(1, false);
-      const double serial_s = time_call([&] { serial_h.step(1, false); }, budget_s);
-      PipelineHarness pool_h(n, gar, batch_size);
-      pool_h.step(threads, false);
-      const double pool_s = time_call([&] { pool_h.step(threads, false); }, budget_s);
-      PipelineHarness spawn_h(n, gar, batch_size);
-      spawn_h.step(threads, true);
-      const double spawn_s = time_call([&] { spawn_h.step(threads, true); }, budget_s);
-
-      // Pool-backed threaded trainer must be bit-identical to serial —
-      // checked on a real Trainer run (short, but long enough that any
-      // divergence would compound into the parameters).
-      dpbyz::ExperimentConfig config;
-      config.num_workers = n;
-      config.num_byzantine = gar == "average" ? 0 : 2;
-      config.gar = gar;
-      config.steps = 20;
-      config.eval_every = 20;
-      config.batch_size = 10;
-      config.dp_enabled = true;
-      config.epsilon = 0.2;
-      const dpbyz::LinearModel& model = serial_h.model;
-      const dpbyz::Dataset& data = serial_h.data;
-      const auto serial_run = dpbyz::Trainer(config, model, data, data).run();
-      config.threads = threads;
-      const auto threaded_run = dpbyz::Trainer(config, model, data, data).run();
-      const bool identical =
-          serial_run.final_parameters == threaded_run.final_parameters &&
-          serial_run.train_loss == threaded_run.train_loss;
-
-      pipeline_rows.push_back({"gaussian", gar, n, serial_h.model.dim(), threads,
-                               allocs_per_step, serial_s, pool_s, spawn_s, identical});
-      std::printf("%-10s %-8s %4zu %4zu %3zu | %11.1f | %11.4f %11.4f %11.4f | "
-                  "%8.2fx | %9s\n",
-                  "gaussian", gar.c_str(), n, serial_h.model.dim(), threads,
-                  allocs_per_step, serial_s * 1e3, pool_s * 1e3, spawn_s * 1e3,
-                  spawn_s / pool_s, identical ? "yes" : "NO");
-      std::fflush(stdout);
-    }
-  }
-
-  // ---- pipeline-depth sweep: the ring engine's overlap --------------------
-  // n = 50, d = 1e4, MDA at f = 2: a task where the fill (n worker
-  // pipelines at b × d work each) and the O(n²d) aggregation are the
-  // same order of magnitude — the shape the ring exists for.  One row
-  // per depth k in {0, 1, 2, 4}: per-step wall-clock, the phase split
-  // (fill wait vs fill busy vs aggregate vs apply — wait < busy is the
-  // overlap win), steady-state allocations, and determinism across a
-  // rerun and the other thread width.  The depth-0 row additionally
-  // carries the engine-identity gate (iid participation at p = 1 must
-  // be bit-equal to the default full-participation run).
-  std::vector<DepthRow> depth_rows;
-  {
-    const size_t n = 50, d = 10000, f = 2;
-    const size_t steps = fast ? 10 : 20;
-    const size_t cores = std::max(1u, std::thread::hardware_concurrency());
-
-    dpbyz::BlobsConfig bc;
-    bc.num_samples = 256;
-    bc.num_features = d;
-    bc.separation = 4.0;
-    const dpbyz::Dataset data = dpbyz::make_blobs(bc, 42);
-    const dpbyz::LinearModel model(d, dpbyz::LinearLoss::kMseOnSigmoid);
-
-    dpbyz::ExperimentConfig cfg;
-    cfg.num_workers = n;
-    cfg.num_byzantine = f;
-    cfg.gar = "mda";
-    cfg.batch_size = 10;
-    cfg.steps = steps;
-    cfg.eval_every = steps;  // accuracy only at the final step
-
-    auto run_cfg = [&](const dpbyz::ExperimentConfig& c) {
-      return dpbyz::Trainer(c, model, data, data).run();
-    };
-    // Steady-state allocations per step, isolated as the alloc-count
-    // difference between a (steps) and a (steps + 20) run: construction,
-    // reserves (k + 1 ring arenas included), the single final eval and
-    // the GAR-cache warmup all happen once in each run and cancel in the
-    // difference.
-    auto allocs_per_step = [&](dpbyz::ExperimentConfig c) {
-      auto counted = [&](size_t s) {
-        c.steps = s;
-        c.eval_every = s;
-        g_alloc_count.store(0);
-        g_count_allocs.store(true);
-        run_cfg(c);
-        g_count_allocs.store(false);
-        return g_alloc_count.load();
-      };
-      const size_t base = counted(5);
-      const size_t longer = counted(25);
-      return static_cast<double>(longer - base) / 20.0;
-    };
-
-    std::printf("\n%-8s %5s %5s | %9s %9s %9s %9s | %9s %8s | %6s | %6s %6s\n",
-                "gar", "depth", "cores", "wait(ms)", "busy(ms)", "agg(ms)",
-                "apply(ms)", "step(ms)", "st/sum", "a/st", "eng id", "det");
-    std::printf(
-        "--------------------------------------------------------------------------"
-        "-------------------------------\n");
-    for (const size_t depth : {size_t{0}, size_t{1}, size_t{2}, size_t{4}}) {
-      dpbyz::ExperimentConfig c = cfg;
-      c.pipeline_depth = depth;
-      c.threads = depth > 0 && cores > 1 ? 2 : 1;
-
-      const auto start = Clock::now();
-      const auto run = run_cfg(c);
-      const double step_s = seconds_since(start) / static_cast<double>(steps);
-      const double wait_s = run.phase.fill / static_cast<double>(steps);
-      const double busy_s = run.phase.fill_busy / static_cast<double>(steps);
-      const double agg_s = run.phase.aggregate / static_cast<double>(steps);
-      const double apply_s = run.phase.apply / static_cast<double>(steps);
-
-      // Determinism at this depth: rerun, and rerun at the other thread
-      // width — both must be bit-equal (the ring is timing-independent).
-      dpbyz::ExperimentConfig alt = c;
-      alt.threads = c.threads == 1 ? 2 : 1;
-      const auto rerun = run_cfg(c);
-      const auto alt_run = run_cfg(alt);
-      const bool deterministic =
-          rerun.final_parameters == run.final_parameters &&
-          rerun.train_loss == run.train_loss &&
-          alt_run.final_parameters == run.final_parameters &&
-          alt_run.train_loss == run.train_loss;
-
-      // Engine schedule-neutrality check (depth 0 only): iid
-      // participation at p = 1 never drops anyone, so its trajectory
-      // must be bit-equal to the default full-participation run (the
-      // depth-0 seed semantics themselves are pinned by the golden
-      // trajectories in tests/test_pipeline.cpp; the depth-k goldens
-      // live in tests/test_pipeline_ring.cpp).
-      bool engine_identical = true;
-      if (depth == 0) {
-        dpbyz::ExperimentConfig engine0 = c;
-        engine0.participation = "iid";
-        engine0.participation_prob = 1.0;
-        const auto engine0_run = run_cfg(engine0);
-        engine_identical =
-            engine0_run.final_parameters == run.final_parameters &&
-            engine0_run.train_loss == run.train_loss;
-      }
-
-      const double allocs = allocs_per_step(c);
-      depth_rows.push_back({"mda", depth, n, d, f, cores, step_s, wait_s, busy_s,
-                            agg_s, apply_s, allocs, engine_identical,
-                            deterministic});
-      std::printf("%-8s %5zu %5zu | %9.3f %9.3f %9.3f %9.3f | %9.3f %7.2fx | "
-                  "%6.1f | %6s %6s\n",
-                  "mda", depth, cores, wait_s * 1e3, busy_s * 1e3, agg_s * 1e3,
-                  apply_s * 1e3, step_s * 1e3, step_s / (busy_s + agg_s), allocs,
-                  depth == 0 ? (engine_identical ? "yes" : "NO") : "-",
-                  deterministic ? "yes" : "NO");
-      std::fflush(stdout);
-    }
-    if (cores == 1)
-      std::printf("(single-CPU host: the fill thread and the aggregating thread "
-                  "time-slice one core, so st/sum cannot drop below 1 here — the "
-                  "overlap win needs >= 2 cores.)\n");
-  }
-
-  // ---- convergence vs staleness: what the overlap costs -------------------
-  // The ring buys wall-clock by training on gradients up to k versions
-  // stale; this sweep records what that does to convergence, per GAR, on
-  // the paper's phishing-like task (n = 11, f = 2, "little" attack).
-  // Committed to the JSON so docs/ARCHITECTURE.md's caveat table points
-  // at measured numbers rather than folklore.  A quadratic companion
-  // runs the Theorem-1 strongly-convex task (exact excess loss) over the
-  // same depths — the cleanest single number for the staleness penalty.
-  std::vector<StalenessRow> staleness_rows;
-  std::vector<QuadStalenessRow> quad_staleness_rows;
-  {
-    const dpbyz::PhishingExperiment phishing(42);
-    dpbyz::ExperimentConfig cfg;
-    cfg.num_workers = 11;
-    cfg.num_byzantine = 2;
-    cfg.steps = fast ? 100 : 300;
-    cfg.eval_every = cfg.steps;
-    cfg.batch_size = 50;
-    cfg.attack_enabled = true;
-    cfg.attack = "little";
-
-    std::printf("\n%-8s %5s | %9s %10s %10s %12s\n", "gar", "depth", "final acc",
-                "final loss", "min loss", "steps-to-min");
-    std::printf("---------------------------------------------------------------\n");
-    for (const char* gar : {"average", "krum", "mda", "median"}) {
-      for (const size_t depth : {size_t{0}, size_t{1}, size_t{2}, size_t{4}}) {
-        dpbyz::ExperimentConfig c = cfg;
-        c.gar = gar;
-        c.pipeline_depth = depth;
-        const auto run = phishing.run(c);
-        staleness_rows.push_back({gar, depth, run.final_accuracy,
-                                  run.final_train_loss, run.min_train_loss,
-                                  run.steps_to_min_loss});
-        std::printf("%-8s %5zu | %9.4f %10.5f %10.5f %12zu\n", gar, depth,
-                    run.final_accuracy, run.final_train_loss, run.min_train_loss,
-                    run.steps_to_min_loss);
-        std::fflush(stdout);
-      }
-    }
-
-    // Theorem-1 tie-in: gamma_t = 1/(lambda t) on the strongly-convex
-    // Gaussian-mean task; excess loss of the final iterate, mean over 3
-    // seeds, per depth.  Theorem 1's O(1/T) rate is proved for the
-    // synchronous loop; the committed curve shows how gently (or not)
-    // bounded staleness degrades it.
-    const dpbyz::QuadraticExperiment quad(32, 1.0, 42, 20000);
-    dpbyz::ExperimentConfig qc;
-    qc.num_workers = 4;
-    qc.num_byzantine = 0;
-    qc.gar = "average";
-    qc.batch_size = 10;
-    qc.steps = fast ? 150 : 400;
-    qc.eval_every = qc.steps;
-    qc.momentum = 0.0;
-    qc.lr_schedule = "theorem1";
-    qc.learning_rate = 1.0;
-    qc.clip_norm = 3.0;
-    qc.clip_enabled = false;
-    std::printf("\n%-28s %5s | %12s\n", "theorem-1 quadratic (d=32)", "depth",
-                "excess loss");
-    for (const size_t depth : {size_t{0}, size_t{1}, size_t{2}, size_t{4}}) {
-      dpbyz::ExperimentConfig c = qc;
-      c.pipeline_depth = depth;
-      const double excess = quad.mean_excess_loss(c, 3);
-      quad_staleness_rows.push_back({depth, excess});
-      std::printf("%-28s %5zu | %12.6f\n", "", depth, excess);
-      std::fflush(stdout);
-    }
-  }
-
-  // ---- tree sweep: flat vs the hierarchical tree ---------------------------
-  // d = 1e3 so the n = 1000 flat O(n²d) point stays rerunnable.  f = 2
-  // for the robust rules, f = 0 for average.  Cells whose derived per-level
-  // budget is inadmissible — (L=2, B=8) needs 64 non-empty leaves, and
-  // 3-row leaves cannot host krum at f_child = 1 — are recorded with
-  // the constructor's own message, not silently dropped; same for the
-  // flat-MDA cells whose subset search is intractable at large n (the
-  // regime the prune sweep documents — trees keep the MDA
-  // leaves small, which is exactly the point of the comparison).
-  std::vector<TreeRow> tree_rows;
-  std::vector<TreeGateRow> tree_gate_rows;
-  {
-    const size_t d = 1000;
-    std::vector<size_t> tree_ns{50, 200, 1000};
-    if (fast) tree_ns.pop_back();
-
-    auto measure = [&](dpbyz::Aggregator& agg, const GradientBatch& batch,
-                       double& ms, size_t& allocs) {
-      dpbyz::AggregatorWorkspace ws;
-      agg.aggregate(batch, ws);  // warm every retained buffer
-      g_alloc_count.store(0);
-      g_count_allocs.store(true);
-      agg.aggregate(batch, ws);
-      g_count_allocs.store(false);
-      allocs = g_alloc_count.load();
-      ms = time_call([&] { agg.aggregate(batch, ws); }, budget_s) * 1e3;
-    };
-    auto emit = [&](TreeRow r) {
-      if (r.note.empty()) {
-        std::printf("%-8s %-14s %5zu %6zu %3zu | %12.3f | %7zu\n", r.gar.c_str(),
-                    r.topology.c_str(), r.n, r.d, r.f, r.ms, r.allocs);
-      } else {
-        std::printf("%-8s %-14s %5zu %6zu %3zu | skipped (%s)\n", r.gar.c_str(),
-                    r.topology.c_str(), r.n, r.d, r.f, r.note.c_str());
-      }
-      std::fflush(stdout);
-      tree_rows.push_back(std::move(r));
-    };
-
-    std::printf("\n%-8s %-14s %5s %6s %3s | %12s | %7s\n", "gar", "topology", "n",
-                "d", "f", "step (ms)", "allocs");
-    std::printf(
-        "----------------------------------------------------------------\n");
-    for (const std::string gar : {"krum", "mda", "average"}) {
-      for (const size_t n : tree_ns) {
-        const size_t f = gar == "average" ? 0 : 2;
-        const auto gradients = make_gradients(n, d, 42);
-        const GradientBatch batch = GradientBatch::from_vectors(gradients);
-
-        TreeRow flat_row{gar, "flat", n, d, f, 0.0, 0, ""};
-        if (gar == "mda" && n > 50) {
-          // Constructible (C(n, 2) subsets is under the cap) but the
-          // branch-and-bound wall-clock is the prune sweep's documented
-          // blow-up regime; a tracked bench stays rerunnable.
-          flat_row.note = "flat MDA subset search intractable at this n";
-        } else {
-          const auto flat = dpbyz::make_aggregator(gar, n, f);
-          measure(*flat, batch, flat_row.ms, flat_row.allocs);
-        }
-        emit(std::move(flat_row));
-
-        TreeRow tree_row{gar, "tree(L=2,B=8)", n, d, f, 0.0, 0, ""};
-        std::optional<dpbyz::HierarchicalAggregator> tree;
-        try {
-          tree.emplace(gar, "median", n, f, 2, 8);
-          measure(*tree, batch, tree_row.ms, tree_row.allocs);
-        } catch (const std::invalid_argument& e) {
-          tree_row.note = e.what();
-        }
-        emit(std::move(tree_row));
-      }
-    }
-
-    // Tree gates at n = 48: tree(L = 1, B = 1) vs the flat rule, and the
-    // (L = 1, B = 4) tree over the ideal framed raw64 link vs in memory.
-    {
-      const size_t gn = 48, gd = 4096;
-      const auto gradients = make_gradients(gn, gd, 42);
-      const GradientBatch batch = GradientBatch::from_vectors(gradients);
-      const dpbyz::net::LinkConfig ideal;  // raw64, no faults
-      std::printf("\n%-8s | %9s %12s %12s\n", "gar", "B1 ident", "framed ident",
-                  "framed allocs");
-      std::printf("--------------------------------------------------\n");
-      for (const std::string gar : {"krum", "mda", "average"}) {
-        const size_t f = gar == "average" ? 0 : 2;
-        const auto flat = dpbyz::make_aggregator(gar, gn, f);
-        const dpbyz::HierarchicalAggregator single(gar, "median", gn, f, 1, 1);
-        const dpbyz::HierarchicalAggregator tree(gar, "median", gn, f, 1, 4);
-        const dpbyz::HierarchicalAggregator framed(
-            gar, "median", gn, f, 1, 4, 1, dpbyz::PruneMode::kOff, &ideal);
-        dpbyz::AggregatorWorkspace ws_flat, ws_b1, ws_t, ws_f;
-        const auto flat_view = flat->aggregate(batch, ws_flat);
-        const auto b1_view = single.aggregate(batch, ws_b1);
-        const bool b1_identical = Vector(b1_view.begin(), b1_view.end()) ==
-                                  Vector(flat_view.begin(), flat_view.end());
-        const auto tv = tree.aggregate(batch, ws_t);
-        const Vector want(tv.begin(), tv.end());
-        framed.aggregate(batch, ws_f);  // warm the wire buffers
-        g_alloc_count.store(0);
-        g_count_allocs.store(true);
-        const auto fv = framed.aggregate(batch, ws_f);
-        g_count_allocs.store(false);
-        const size_t framed_allocs = g_alloc_count.load();
-        const bool framed_identical = Vector(fv.begin(), fv.end()) == want;
-        tree_gate_rows.push_back(
-            {gar, gn, f, 4, b1_identical, framed_identical, framed_allocs});
-        std::printf("%-8s | %9s %12s %12zu\n", gar.c_str(),
-                    b1_identical ? "yes" : "NO", framed_identical ? "yes" : "NO",
-                    framed_allocs);
-        std::fflush(stdout);
-      }
-    }
-  }
-
-  // ---- wire sweep: encode/decode throughput and bytes per round -----------
-  // One d = 1e4 row per mode: median encode and decode+apply wall-clock,
-  // the steady-state allocation count of a full codec cycle (must be 0),
-  // the checksum gates (raw64 round trip byte-exact; one flipped byte
-  // always rejected), the decode error of the lossy modes, and — from
-  // the framed n = 48 L = 1 tree above — the actual bytes one
-  // aggregation round puts on the wire per mode (4 edges × d = 4096).
-  std::vector<WireRow> wire_rows;
-  {
-    const size_t wd = 10000;
-    Rng rng(42);
-    const Vector row = rng.normal_vector(wd, 1.0);
-    const auto wire_gradients = make_gradients(48, 4096, 42);
-    const GradientBatch wire_batch = GradientBatch::from_vectors(wire_gradients);
-
-    std::printf("\n%-6s %6s | %10s %6s | %10s %10s | %6s | %5s %7s | %9s | %11s\n",
-                "mode", "d", "bytes/row", "frames", "enc (ms)", "dec (ms)",
-                "allocs", "exact", "corrupt", "max err", "bytes/round");
-    std::printf(
-        "--------------------------------------------------------------------------"
-        "--------------------------\n");
-    for (const dpbyz::net::WireMode mode :
-         {dpbyz::net::WireMode::kRaw64, dpbyz::net::WireMode::kInt8,
-          dpbyz::net::WireMode::kTopK}) {
-      dpbyz::net::FrameEncoder enc(mode, 1024);
-      dpbyz::net::FrameBuffer frames;
-      Vector decoded(wd, 0.0);
-      auto decode_all = [&] {
-        for (size_t i = 0; i < frames.count(); ++i) {
-          dpbyz::net::FrameView chunk;
-          if (dpbyz::net::decode_frame(frames.frame(i), chunk) !=
-                  dpbyz::net::DecodeStatus::kOk ||
-              !dpbyz::net::apply_chunk(chunk, decoded))
-            std::abort();  // a healthy frame must always decode
-        }
-      };
-
-      // Warm, then prove the encode+decode cycle is allocation-free.
-      frames.clear();
-      enc.encode_row(row, frames);
-      decode_all();
-      g_alloc_count.store(0);
-      g_count_allocs.store(true);
-      frames.clear();
-      enc.encode_row(row, frames);
-      decode_all();
-      g_count_allocs.store(false);
-      const size_t codec_allocs = g_alloc_count.load();
-
-      const double encode_ms = time_call(
-                                   [&] {
-                                     frames.clear();
-                                     enc.encode_row(row, frames);
-                                   },
-                                   budget_s) *
-                               1e3;
-      const double decode_ms = time_call(decode_all, budget_s) * 1e3;
-
-      std::fill(decoded.begin(), decoded.end(), 0.0);
-      decode_all();
-      const bool round_trip_exact = decoded == row;
-      double max_abs_err = 0.0;
-      for (size_t i = 0; i < wd; ++i)
-        max_abs_err = std::max(max_abs_err, std::abs(decoded[i] - row[i]));
-
-      // One flipped byte anywhere must fail the CRC.
-      const std::span<const uint8_t> good = frames.frame(0);
-      std::vector<uint8_t> bad(good.begin(), good.end());
-      bad[bad.size() / 2] ^= 0x40;
-      dpbyz::net::FrameView chunk;
-      const bool corrupt_rejected =
-          dpbyz::net::decode_frame(bad, chunk) != dpbyz::net::DecodeStatus::kOk;
-
-      // Bytes one framed tree round actually sends under this mode.
-      dpbyz::net::LinkConfig link;
-      link.wire = mode;
-      const dpbyz::HierarchicalAggregator framed(
-          "median", "median", 48, 2, 1, 4, 1, dpbyz::PruneMode::kOff, &link);
-      dpbyz::AggregatorWorkspace ws;
-      framed.aggregate(wire_batch, ws);
-      const uint64_t bytes_per_round = framed.channel_stats().bytes_sent;
-
-      wire_rows.push_back({dpbyz::net::wire_mode_name(mode), wd,
-                           enc.bytes_per_row(wd), enc.chunks(wd), encode_ms,
-                           decode_ms, codec_allocs, round_trip_exact,
-                           corrupt_rejected, max_abs_err, bytes_per_round});
-      std::printf("%-6s %6zu | %10zu %6zu | %10.4f %10.4f | %6zu | %5s %7s | "
-                  "%9.2e | %11llu\n",
-                  dpbyz::net::wire_mode_name(mode).c_str(), wd,
-                  enc.bytes_per_row(wd), enc.chunks(wd), encode_ms, decode_ms,
-                  codec_allocs, round_trip_exact ? "yes" : "no",
-                  corrupt_rejected ? "yes" : "NO", max_abs_err,
-                  static_cast<unsigned long long>(bytes_per_round));
-      std::fflush(stdout);
-    }
-  }
-
-  // ---- churn sweep: elastic membership epochs ----------------------------
-  // What elasticity costs at training time, on the same phishing config
-  // the CI churn-stress leg replays: per-round wall-clock and allocs per
-  // step under increasing join/leave rates, the per-boundary
-  // renegotiation overhead (zero-probability epochs at E = 5 vs the
-  // churn-off loop — the boundary machinery with no roster change), and
-  // the checkpoint write cost (a checkpointing run vs the same run bare,
-  // per written checkpoint).  Four contracts become --check gates: the
-  // churn-off row's steady state stays allocation-free, the zero-prob
-  // epoch trajectory is bitwise equal to churn-off (the elasticity layer
-  // is inert when nothing churns), checkpoint writes do not perturb the
-  // trajectory, and a kill-at-half/restore run reproduces the
-  // uninterrupted trajectory bit-for-bit in-process (the CI leg proves
-  // the same across processes with cmp).
-  std::vector<ChurnRow> churn_rows;
-  double churn_reneg_ms = 0.0;       // per epoch boundary, zero-prob epochs
-  double churn_ckpt_write_ms = 0.0;  // per written checkpoint
-  bool churn_ckpt_write_inert = true;
-  bool churn_restore_identical = true;
-  {
-    const dpbyz::PhishingExperiment phishing(42);
-    dpbyz::ExperimentConfig cfg;
-    cfg.num_workers = 11;
-    cfg.num_byzantine = 3;
-    cfg.gar = "median";
-    cfg.batch_size = 50;
-    cfg.steps = fast ? 160 : 300;
-    cfg.eval_every = cfg.steps;
-    cfg.attack_enabled = true;
-    cfg.attack = "little";
-    cfg.churn_seed = 7;
-
-    auto run_timed = [&](const dpbyz::ExperimentConfig& c, double& total_s) {
-      const auto start = Clock::now();
-      auto run = phishing.run(c);
-      total_s = seconds_since(start);
-      return run;
-    };
-    auto same_trajectory = [](const dpbyz::RunResult& a,
-                              const dpbyz::RunResult& b) {
-      return a.final_parameters == b.final_parameters &&
-             a.train_loss == b.train_loss && a.round_rows == b.round_rows &&
-             a.round_f == b.round_f;
-    };
-    // Allocs per step as the count difference between a 25- and a 45-round
-    // run: both windows end mid-epoch (E = 20), so the 20-step difference
-    // carries exactly one boundary for the epoch rows — renegotiation,
-    // roster rebuild and GAR-cache traffic are amortized in, not hidden.
-    auto allocs_per_step = [&](dpbyz::ExperimentConfig c) {
-      auto counted = [&](size_t s) {
-        c.steps = s;
-        c.eval_every = s;
-        g_alloc_count.store(0);
-        g_count_allocs.store(true);
-        phishing.run(c);
-        g_count_allocs.store(false);
-        return g_alloc_count.load();
-      };
-      const size_t base = counted(25);
-      const size_t longer = counted(45);
-      return static_cast<double>(longer - base) / 20.0;
-    };
-
-    struct Point {
-      const char* label;
-      double join, leave;
-    };
-    const Point points[] = {{"off", 0.0, 0.0},
-                            {"epoch:20x0x0", 0.0, 0.0},
-                            {"epoch:20x0.6x0.1", 0.6, 0.1},
-                            {"epoch:20x0.9x0.3", 0.9, 0.3}};
-
-    std::printf("\n%-18s %3s %5s %6s | %6s %5s | %9s %9s | %6s | %6s\n",
-                "churn", "E", "join", "leave", "events", "rows", "step (ms)",
-                "rounds/s", "a/st", "off id");
-    std::printf(
-        "--------------------------------------------------------------------"
-        "--------------\n");
-    std::optional<dpbyz::RunResult> off_run;
-    double off_total_s = 0.0;
-    for (const Point& p : points) {
-      dpbyz::ExperimentConfig c = cfg;
-      const bool epoch = std::string(p.label) != "off";
-      if (epoch) {
-        c.churn = "epoch";
-        c.churn_epoch_rounds = 20;
-        c.churn_join_prob = p.join;
-        c.churn_leave_prob = p.leave;
-        // The zero-probability row isolates the boundary machinery: with
-        // reputation scoring off too, every epoch renegotiates to the
-        // identical roster, so the trajectory must match churn-off.
-        if (p.join == 0.0 && p.leave == 0.0) c.reputation = "off";
-      }
-      double total_s = 0.0;
-      const auto run = run_timed(c, total_s);
-      bool off_identical = true;
-      if (!epoch) {
-        off_run = run;
-        off_total_s = total_s;
-      } else if (p.join == 0.0 && p.leave == 0.0) {
-        off_identical = same_trajectory(run, *off_run);
-      }
-      const double step_s = total_s / static_cast<double>(cfg.steps);
-      ChurnRow row{p.label,
-                   epoch ? size_t{20} : size_t{0},
-                   p.join,
-                   p.leave,
-                   cfg.steps,
-                   run.churn_trace.size(),
-                   run.round_rows.back(),
-                   step_s,
-                   allocs_per_step(c),
-                   off_identical};
-      std::printf("%-18s %3zu %5.2f %6.2f | %6zu %5zu | %9.4f %9.1f | %6.1f | "
-                  "%6s\n",
-                  row.churn.c_str(), row.epoch_rounds, row.join_prob,
-                  row.leave_prob, row.events, row.final_rows, row.step_s * 1e3,
-                  1.0 / row.step_s, row.allocs,
-                  epoch && p.join == 0.0 ? (off_identical ? "yes" : "NO") : "-");
-      std::fflush(stdout);
-      churn_rows.push_back(std::move(row));
-    }
-
-    // Renegotiation overhead per boundary: zero-probability epochs at
-    // E = 5 (steps/5 boundaries) against the churn-off run — the only
-    // difference is the boundary machinery itself.
-    {
-      dpbyz::ExperimentConfig c = cfg;
-      c.churn = "epoch";
-      c.churn_epoch_rounds = 5;
-      c.churn_join_prob = 0.0;
-      c.churn_leave_prob = 0.0;
-      c.reputation = "off";
-      double total_s = 0.0;
-      run_timed(c, total_s);
-      const double boundaries = static_cast<double>(cfg.steps) / 5.0;
-      churn_reneg_ms = (total_s - off_total_s) / boundaries * 1e3;
-      std::printf("renegotiation overhead: %.4f ms per boundary "
-                  "(zero-prob E=5 vs off, %g boundaries)\n",
-                  churn_reneg_ms, boundaries);
-    }
-
-    // Checkpoint write cost + the two restore gates, on the moderate
-    // churn point.  The writer run and the kill/restore pair each get a
-    // fresh checkpoint path in the working directory (removed after).
-    {
-      dpbyz::ExperimentConfig churning = cfg;
-      churning.churn = "epoch";
-      churning.churn_epoch_rounds = 20;
-      churning.churn_join_prob = 0.6;
-      churning.churn_leave_prob = 0.1;
-      // eval_every is part of the checkpoint signature, so the killed
-      // half-run and the resumed full run must share one value.
-      churning.eval_every = cfg.steps / 2;
-      double plain_s = 0.0;
-      const auto plain = run_timed(churning, plain_s);
-
-      const char* ckpt_path = "bench_churn.ckpt";
-      std::remove(ckpt_path);
-      dpbyz::ExperimentConfig writing = churning;
-      writing.checkpoint_path = ckpt_path;
-      writing.checkpoint_every = 25;
-      double writing_s = 0.0;
-      const auto written = run_timed(writing, writing_s);
-      const double n_ckpts = static_cast<double>(cfg.steps / 25);  // written
-      churn_ckpt_write_ms = (writing_s - plain_s) / n_ckpts * 1e3;
-      churn_ckpt_write_inert = same_trajectory(written, plain);
-
-      std::remove(ckpt_path);
-      dpbyz::ExperimentConfig killed = writing;
-      killed.steps = cfg.steps / 2;
-      phishing.run(killed);  // dies at its steps/2 checkpoint
-      const auto resumed = phishing.run(writing);  // fresh run, same file
-      churn_restore_identical = same_trajectory(resumed, plain) &&
-                                resumed.churn_trace == plain.churn_trace;
-      std::remove(ckpt_path);
-
-      std::printf("checkpoint write: %.4f ms each (%g per run); writes inert: "
-                  "%s; kill@%zu/restore bit-identical: %s\n",
-                  churn_ckpt_write_ms, n_ckpts,
-                  churn_ckpt_write_inert ? "yes" : "NO", killed.steps,
-                  churn_restore_identical ? "yes" : "NO");
-      std::fflush(stdout);
-    }
-  }
-
-  FILE* out = std::fopen("BENCH_gar_scaling.json", "w");
-  if (!out) {
+  opt.budget_s = budget_ms / 1000.0;
+
+  Report report;
+  report.scalar(str("bench", "gar_scaling"));
+  report.scalar(num("cores", std::max(1u, std::thread::hardware_concurrency())));
+  report.scalar(flag("fast", opt.fast));
+  report.scalar(real("budget_ms", budget_ms, "%.1f"));
+  // Every *_ms figure is the median of 1-50 timed calls (as many as
+  // budget_ms affords after one untimed probe call; see time_call).
+  report.scalar(str("timing", "median of 1-50 timed calls per cell within budget_ms"));
+
+  main_sweep(report, opt);
+  fast_math_sweep(report, opt);
+  prune_sweep(report, opt);
+  pipeline_depth_sweep(report, opt);
+  staleness_sweep(report, opt);
+  tree_sweep(report, opt);
+  wire_sweep(report, opt);
+
+  if (!report.write("BENCH_gar_scaling.json")) {
     std::fprintf(stderr, "cannot open BENCH_gar_scaling.json for writing\n");
     return 1;
   }
-  // Every *_ms figure is the median of 1-50 timed calls (as many as
-  // budget_ms affords after one untimed probe call; see time_call).
-  std::fprintf(out,
-               "{\n  \"bench\": \"gar_scaling\",\n  \"cores\": %u,\n"
-               "  \"fast\": %s,\n  \"budget_ms\": %.1f,\n"
-               "  \"timing\": \"median of 1-50 timed calls per cell within budget_ms\",\n"
-               "  \"results\": [\n",
-               std::max(1u, std::thread::hardware_concurrency()), fast ? "true" : "false",
-               budget_ms);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(out,
-                 "    {\"gar\": \"%s\", \"n\": %zu, \"d\": %zu, \"f\": %zu, "
-                 "\"batch_ms\": %.6f, \"seed_ms\": %.6f, \"speedup\": %.3f, "
-                 "\"allocs_after_warmup\": %zu, \"bit_identical\": %s}%s\n",
-                 r.gar.c_str(), r.n, r.d, r.f, r.new_s * 1e3, r.ref_s * 1e3,
-                 r.ref_s / r.new_s, r.allocs, r.identical ? "true" : "false",
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out,
-               "  ],\n  \"fast_math_backend\": \"%s\",\n"
-               "  \"fast_pairwise_threads_identical\": %s,\n"
-               "  \"fast_math_sweep\": [\n",
-               dpbyz::kernels::fast_backend(),
-               fast_pairwise_threads_identical ? "true" : "false");
-  for (size_t i = 0; i < fast_rows.size(); ++i) {
-    const FastRow& r = fast_rows[i];
-    std::fprintf(out,
-                 "    {\"gar\": \"%s\", \"n\": %zu, \"d\": %zu, \"f\": %zu, "
-                 "\"scalar_ms\": %.6f, \"fast_ms\": %.6f, \"speedup\": %.3f, "
-                 "\"max_rel_err\": %.3e, \"allocs_after_warmup\": %zu, "
-                 "\"deterministic\": %s}%s\n",
-                 r.gar.c_str(), r.n, r.d, r.f, r.scalar_s * 1e3, r.fast_s * 1e3,
-                 r.scalar_s / r.fast_s, r.max_rel_err, r.fast_allocs,
-                 r.deterministic ? "true" : "false",
-                 i + 1 < fast_rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n  \"prune_sweep\": [\n");
-  for (size_t i = 0; i < prune_rows.size(); ++i) {
-    const PruneRow& r = prune_rows[i];
-    std::fprintf(out,
-                 "    {\"gar\": \"%s\", \"geometry\": \"%s\", \"n\": %zu, "
-                 "\"d\": %zu, \"f\": %zu, \"off_ms\": %.6f, \"exact_ms\": %.6f, "
-                 "\"approx_ms\": %.6f, \"speedup_exact\": %.3f, "
-                 "\"speedup_approx\": %.3f, \"pruned_pair_fraction\": %.4f, "
-                 "\"exact_allocs_after_warmup\": %zu, "
-                 "\"approx_allocs_after_warmup\": %zu, "
-                 "\"exact_bit_identical\": %s, "
-                 "\"approx_selection_disagreement\": %.4f, "
-                 "\"approx_aggregate_rel_err\": %.3e}%s\n",
-                 r.gar.c_str(), r.geometry.c_str(), r.n, r.d, r.f, r.off_s * 1e3,
-                 r.exact_s * 1e3, r.approx_s * 1e3, r.off_s / r.exact_s,
-                 r.off_s / r.approx_s, r.pruned_fraction, r.exact_allocs,
-                 r.approx_allocs, r.exact_identical ? "true" : "false",
-                 r.approx_disagreement, r.approx_rel_err,
-                 i + 1 < prune_rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n  \"pipeline_sweep\": [\n");
-  for (size_t i = 0; i < pipeline_rows.size(); ++i) {
-    const PipelineRow& r = pipeline_rows[i];
-    std::fprintf(out,
-                 "    {\"mechanism\": \"%s\", \"gar\": \"%s\", \"n\": %zu, "
-                 "\"d\": %zu, \"threads\": %zu, \"allocs_per_step_serial\": %.1f, "
-                 "\"serial_step_ms\": %.6f, \"pool_step_ms\": %.6f, "
-                 "\"spawn_step_ms\": %.6f, \"pool_speedup_vs_spawn\": %.3f, "
-                 "\"threaded_bit_identical\": %s}%s\n",
-                 r.mechanism.c_str(), r.gar.c_str(), r.n, r.d, r.threads,
-                 r.allocs_per_step, r.serial_step_s * 1e3, r.pool_step_s * 1e3,
-                 r.spawn_step_s * 1e3, r.spawn_step_s / r.pool_step_s,
-                 r.threaded_identical ? "true" : "false",
-                 i + 1 < pipeline_rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n  \"pipeline_depth_sweep\": [\n");
-  for (size_t i = 0; i < depth_rows.size(); ++i) {
-    const DepthRow& r = depth_rows[i];
-    std::fprintf(out,
-                 "    {\"gar\": \"%s\", \"depth\": %zu, \"n\": %zu, \"d\": %zu, "
-                 "\"f\": %zu, \"cores\": %zu, \"step_ms\": %.6f, "
-                 "\"fill_wait_ms\": %.6f, \"fill_busy_ms\": %.6f, "
-                 "\"aggregate_ms\": %.6f, \"apply_ms\": %.6f, "
-                 "\"step_vs_busy_plus_agg\": %.3f, \"allocs_per_step\": %.1f, "
-                 "\"engine_bit_identical\": %s, \"deterministic\": %s}%s\n",
-                 r.gar.c_str(), r.depth, r.n, r.d, r.f, r.cores, r.step_s * 1e3,
-                 r.fill_wait_s * 1e3, r.fill_busy_s * 1e3, r.agg_s * 1e3,
-                 r.apply_s * 1e3, r.step_s / (r.fill_busy_s + r.agg_s), r.allocs,
-                 r.depth == 0 ? (r.engine_identical ? "true" : "false") : "null",
-                 r.deterministic ? "true" : "false",
-                 i + 1 < depth_rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n  \"staleness_convergence\": [\n");
-  for (size_t i = 0; i < staleness_rows.size(); ++i) {
-    const StalenessRow& r = staleness_rows[i];
-    std::fprintf(out,
-                 "    {\"gar\": \"%s\", \"depth\": %zu, "
-                 "\"final_accuracy\": %.6f, \"final_loss\": %.8f, "
-                 "\"min_loss\": %.8f, \"steps_to_min\": %zu}%s\n",
-                 r.gar.c_str(), r.depth, r.final_accuracy, r.final_loss,
-                 r.min_loss, r.steps_to_min,
-                 i + 1 < staleness_rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n  \"staleness_quadratic_excess\": [\n");
-  for (size_t i = 0; i < quad_staleness_rows.size(); ++i) {
-    const QuadStalenessRow& r = quad_staleness_rows[i];
-    std::fprintf(out, "    {\"depth\": %zu, \"excess_loss\": %.8f}%s\n", r.depth,
-                 r.excess_loss,
-                 i + 1 < quad_staleness_rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n  \"tree_sweep\": [\n");
-  for (size_t i = 0; i < tree_rows.size(); ++i) {
-    const TreeRow& r = tree_rows[i];
-    if (r.note.empty()) {
-      std::fprintf(out,
-                   "    {\"gar\": \"%s\", \"topology\": \"%s\", \"n\": %zu, "
-                   "\"d\": %zu, \"f\": %zu, \"step_ms\": %.6f, "
-                   "\"allocs_after_warmup\": %zu, \"skipped\": null}%s\n",
-                   r.gar.c_str(), r.topology.c_str(), r.n, r.d, r.f, r.ms,
-                   r.allocs, i + 1 < tree_rows.size() ? "," : "");
-    } else {
-      std::fprintf(out,
-                   "    {\"gar\": \"%s\", \"topology\": \"%s\", \"n\": %zu, "
-                   "\"d\": %zu, \"f\": %zu, \"step_ms\": null, "
-                   "\"allocs_after_warmup\": null, \"skipped\": \"%s\"}%s\n",
-                   r.gar.c_str(), r.topology.c_str(), r.n, r.d, r.f,
-                   r.note.c_str(), i + 1 < tree_rows.size() ? "," : "");
-    }
-  }
-  std::fprintf(out, "  ],\n  \"tree_gates\": [\n");
-  for (size_t i = 0; i < tree_gate_rows.size(); ++i) {
-    const TreeGateRow& r = tree_gate_rows[i];
-    std::fprintf(out,
-                 "    {\"gar\": \"%s\", \"n\": %zu, \"f\": %zu, \"branch\": %zu, "
-                 "\"b1_bit_identical_to_flat\": %s, "
-                 "\"l1_framed_bit_identical\": %s, "
-                 "\"framed_allocs_after_warmup\": %zu}%s\n",
-                 r.gar.c_str(), r.n, r.f, r.branch,
-                 r.b1_identical ? "true" : "false",
-                 r.l1_framed_identical ? "true" : "false", r.framed_allocs,
-                 i + 1 < tree_gate_rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n  \"wire_sweep\": [\n");
-  for (size_t i = 0; i < wire_rows.size(); ++i) {
-    const WireRow& r = wire_rows[i];
-    std::fprintf(out,
-                 "    {\"mode\": \"%s\", \"d\": %zu, \"bytes_per_row\": %zu, "
-                 "\"frames_per_row\": %zu, \"encode_ms\": %.6f, "
-                 "\"decode_ms\": %.6f, \"codec_allocs_after_warmup\": %zu, "
-                 "\"round_trip_exact\": %s, \"corrupt_rejected\": %s, "
-                 "\"max_abs_err\": %.3e, \"tree_bytes_per_round\": %llu}%s\n",
-                 r.mode.c_str(), r.d, r.bytes_per_row, r.frames_per_row,
-                 r.encode_ms, r.decode_ms, r.codec_allocs,
-                 r.round_trip_exact ? "true" : "false",
-                 r.corrupt_rejected ? "true" : "false", r.max_abs_err,
-                 static_cast<unsigned long long>(r.tree_bytes_per_round),
-                 i + 1 < wire_rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n  \"churn_sweep\": [\n");
-  for (size_t i = 0; i < churn_rows.size(); ++i) {
-    const ChurnRow& r = churn_rows[i];
-    std::fprintf(out,
-                 "    {\"churn\": \"%s\", \"epoch_rounds\": %zu, "
-                 "\"join_prob\": %.2f, \"leave_prob\": %.2f, \"rounds\": %zu, "
-                 "\"churn_events\": %zu, \"final_round_rows\": %zu, "
-                 "\"step_ms\": %.6f, \"rounds_per_s\": %.1f, "
-                 "\"allocs_per_step\": %.1f, "
-                 "\"zero_churn_bit_identical_to_off\": %s}%s\n",
-                 r.churn.c_str(), r.epoch_rounds, r.join_prob, r.leave_prob,
-                 r.rounds, r.events, r.final_rows, r.step_s * 1e3,
-                 1.0 / r.step_s, r.allocs,
-                 r.epoch_rounds > 0 && r.join_prob == 0.0
-                     ? (r.off_identical ? "true" : "false")
-                     : "null",
-                 i + 1 < churn_rows.size() ? "," : "");
-  }
-  std::fprintf(out,
-               "  ],\n  \"churn_renegotiation_ms_per_boundary\": %.6f,\n"
-               "  \"churn_checkpoint_write_ms\": %.6f,\n"
-               "  \"churn_checkpoint_write_inert\": %s,\n"
-               "  \"churn_restore_bit_identical\": %s\n}\n",
-               churn_reneg_ms, churn_ckpt_write_ms,
-               churn_ckpt_write_inert ? "true" : "false",
-               churn_restore_identical ? "true" : "false");
-  std::fclose(out);
-  std::printf("\nwrote BENCH_gar_scaling.json (%zu configurations)\n",
-              rows.size() + prune_rows.size() +
-                  pipeline_rows.size() + depth_rows.size() +
-                  staleness_rows.size() + quad_staleness_rows.size() +
-                  tree_rows.size() + tree_gate_rows.size() + wire_rows.size() +
-                  churn_rows.size());
+  std::printf("\nwrote BENCH_gar_scaling.json (%zu configurations)\n", report.row_count());
 
-  // ---- --check: fail the process (and the CI smoke step) on regressions ---
-  if (check) {
-    size_t violations = 0;
-    auto fail = [&](const std::string& what) {
-      std::fprintf(stderr, "CHECK FAILED: %s\n", what.c_str());
-      ++violations;
-    };
-    for (const Row& r : rows) {
-      if (!r.identical)
-        fail(r.gar + " n=" + std::to_string(r.n) + " d=" + std::to_string(r.d) +
-             ": batch kernel diverged from the seed implementation");
-      if (r.allocs != 0)
-        fail(r.gar + " n=" + std::to_string(r.n) + " d=" + std::to_string(r.d) + ": " +
-             std::to_string(r.allocs) + " allocs after warmup");
-    }
-    // The fast-mode accuracy contract (kernels.hpp): selections agree on
-    // generic inputs, so end-to-end deviation stays far inside 1e-8.
-    constexpr double kFastRelErrBound = 1e-8;
-    if (!fast_pairwise_threads_identical)
-      fail("fast-math pairwise kernel drifts across thread widths");
-    for (const FastRow& r : fast_rows) {
-      if (!r.deterministic)
-        fail("fast-math " + r.gar + " d=" + std::to_string(r.d) +
-             ": fast mode is not deterministic across reruns");
-      if (r.max_rel_err > kFastRelErrBound)
-        fail("fast-math " + r.gar + " d=" + std::to_string(r.d) +
-             ": deviation " + std::to_string(r.max_rel_err) +
-             " exceeds the documented bound");
-      if (r.fast_allocs != 0)
-        fail("fast-math " + r.gar + " d=" + std::to_string(r.d) + ": " +
-             std::to_string(r.fast_allocs) + " allocs after warmup");
-    }
-    // Pruning gates: exact mode must stay invisible (bit-identical,
-    // allocation-free in both pruned modes), and the lowdim krum rows
-    // must actually prune — the pair count is deterministic per
-    // (generator seed, geometry), so a collapsed fraction means a bound
-    // or visit-order regression, not machine noise.  No wall-clock gate:
-    // speedups are committed in the JSON, not asserted in CI.
-    for (const PruneRow& r : prune_rows) {
-      if (!r.exact_identical)
-        fail("prune=exact " + r.gar + " n=" + std::to_string(r.n) + " (" +
-             r.geometry + ") diverged from prune=off");
-      if (r.exact_allocs != 0)
-        fail("prune=exact " + r.gar + " n=" + std::to_string(r.n) + ": " +
-             std::to_string(r.exact_allocs) + " allocs after warmup");
-      if (r.approx_allocs != 0)
-        fail("prune=approx " + r.gar + " n=" + std::to_string(r.n) + ": " +
-             std::to_string(r.approx_allocs) + " allocs after warmup");
-      if (r.geometry == "lowdim" && r.gar == "krum" && r.pruned_fraction < 0.5)
-        fail("prune=exact krum n=" + std::to_string(r.n) +
-             ": pruned-pair fraction " + std::to_string(r.pruned_fraction) +
-             " collapsed below 0.5 on low-intrinsic-dimension data");
-    }
-    for (const PipelineRow& r : pipeline_rows) {
-      if (r.allocs_per_step != 0.0)
-        fail("worker pipeline " + r.gar + " n=" + std::to_string(r.n) + ": " +
-             std::to_string(r.allocs_per_step) + " allocs per serial step");
-      if (!r.threaded_identical)
-        fail("threaded trainer " + r.gar + " n=" + std::to_string(r.n) +
-             " diverged from serial");
-    }
-    // Ring gates, one set per swept depth: the depth-0 engine must match
-    // the synchronous loop bit-for-bit, every depth must replay
-    // bit-identically across reruns and thread widths, and the steady
-    // state must stay allocation-free (the k + 1 arenas are all
-    // preallocated up front).
-    for (const DepthRow& r : depth_rows) {
-      if (r.depth == 0 && !r.engine_identical)
-        fail("round engine depth-0 fill order diverged from the synchronous loop");
-      if (!r.deterministic)
-        fail("depth-" + std::to_string(r.depth) +
-             " trainer is not deterministic across reruns/thread widths");
-      if (r.allocs != 0.0)
-        fail("round engine depth-" + std::to_string(r.depth) +
-             " steady state allocates (" + std::to_string(r.allocs) +
-             " per step)");
-    }
-    // Hierarchical/wire gates: every measured topology cell must be
-    // allocation-free at steady state; tree(L = 1, B = 1) must match the
-    // flat rule, and the ideal framed tree the in-memory one, bit-for-bit;
-    // the codec must round-trip raw64 byte-exactly, reject corruption,
-    // stay allocation-free, and keep int8 inside its documented bound.
-    for (const TreeRow& r : tree_rows) {
-      if (r.note.empty() && r.allocs != 0)
-        fail(r.topology + " " + r.gar + " n=" + std::to_string(r.n) + ": " +
-             std::to_string(r.allocs) + " allocs after warmup");
-    }
-    for (const TreeGateRow& r : tree_gate_rows) {
-      if (!r.b1_identical)
-        fail("tree(L=1,B=1) " + r.gar + " diverged from the flat rule");
-      if (!r.l1_framed_identical)
-        fail("framed (ideal raw64) tree L=1 " + r.gar +
-             " diverged from the in-memory tree B=" + std::to_string(r.branch));
-      if (r.framed_allocs != 0)
-        fail("framed tree " + r.gar + ": " + std::to_string(r.framed_allocs) +
-             " allocs after warmup");
-    }
-    for (const WireRow& r : wire_rows) {
-      if (r.mode == "raw64" && !r.round_trip_exact)
-        fail("raw64 wire round trip is not byte-exact");
-      if (!r.corrupt_rejected)
-        fail(r.mode + " wire: a corrupted frame passed the checksum");
-      if (r.codec_allocs != 0)
-        fail(r.mode + " wire codec: " + std::to_string(r.codec_allocs) +
-             " allocs after warmup");
-      if (r.mode == "int8" && r.max_abs_err > 1.0 / 254.0 * 6.0)
-        fail("int8 wire decode error exceeds the ||row||_inf/254 contract");
-    }
-    // Elastic-membership gates: the churn-off trainer must stay
-    // allocation-free at steady state, zero-probability epochs must be
-    // trajectory-inert, and checkpointing must neither perturb a run nor
-    // lose bit-identity across a kill/restore cycle.
-    for (const ChurnRow& r : churn_rows) {
-      if (r.epoch_rounds == 0 && r.allocs != 0.0)
-        fail("churn-off trainer steady state allocates (" +
-             std::to_string(r.allocs) + " per step)");
-      if (!r.off_identical)
-        fail("zero-probability churn epochs perturbed the trajectory "
-             "(elasticity layer is not inert)");
-    }
-    if (!churn_ckpt_write_inert)
-      fail("checkpoint writes perturbed the churning trajectory");
-    if (!churn_restore_identical)
-      fail("kill/restore trajectory diverged from the uninterrupted run");
-    if (violations > 0) {
-      std::fprintf(stderr, "--check: %zu violation(s)\n", violations);
-      return 1;
-    }
-    std::printf("--check: all correctness and allocation gates passed\n");
+  if (!check) return 0;
+  for (const std::string& failure : g_failures)
+    std::fprintf(stderr, "CHECK FAILED: %s\n", failure.c_str());
+  if (!g_failures.empty()) {
+    std::fprintf(stderr, "--check: %zu violation(s)\n", g_failures.size());
+    return 1;
   }
+  std::printf("--check: all correctness and allocation gates passed\n");
   return 0;
 }

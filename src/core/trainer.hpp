@@ -13,8 +13,8 @@
 //      every eval_every steps).
 //
 // The trainer is serial by default and allocation-free at steady state
-// (every per-step stage writes into reused arenas/buffers; measured by
-// bench_gar_scaling's pipeline sweep).  ExperimentConfig::threads > 1
+// (every per-step stage writes into reused arenas/buffers; pinned by
+// tests/test_allocation_free.cpp and roundbench's core.allocs_per_round).  ExperimentConfig::threads > 1
 // runs the honest-worker pipelines — and, with tree_levels >= 1, the
 // tree's child dispatch — on the process-wide ThreadPool; results stay deterministic
 // and bit-identical to the serial run given (config, model, datasets),

@@ -33,8 +33,8 @@ HonestWorker::HonestWorker(const Model& model, const Dataset& train, size_t batc
 void HonestWorker::submit_into(const Vector& w, std::span<double> out) {
   // Every stage writes into a reused member buffer or straight into
   // `out`: after the first call the full pipeline (sample, loss + gradient,
-  // clip, momentum, noise) touches the heap zero times — measured by the
-  // operator-new counter in bench_gar_scaling's pipeline sweep.
+  // clip, momentum, noise) touches the heap zero times — pinned by the
+  // operator-new counter in tests/test_allocation_free.cpp.
   sampler_.next_into(batch_size_, sample_rng_, batch_);
   // Loss is evaluated on the same batch the gradient is computed on —
   // this is the per-step training loss series the paper plots — and in

@@ -108,8 +108,9 @@ TEST(Membership, QuarantineIsTimeGatedAndTerminalStatesAbsorb) {
       if (ev.kind == ChurnEvent::Kind::kJoin) quarantined_since[ev.worker] = ev.epoch;
       // With reputation off, admission is purely time-based: never
       // before quarantine_epochs full epochs of auditing.
-      if (ev.kind == ChurnEvent::Kind::kAdmit)
+      if (ev.kind == ChurnEvent::Kind::kAdmit) {
         EXPECT_GE(ev.epoch - quarantined_since[ev.worker], c.quarantine_epochs);
+      }
     }
   }
   // Terminal states absorb: no event may name a worker that already
@@ -296,11 +297,29 @@ TEST(MembershipTraining, ChurnOffMatchesFixedRosterBitwise) {
   SmallTask task;
   ExperimentConfig c = churn_config();
   c.churn = "off";
+  c.steps = 60;
   const RunResult a = Trainer(c, task.model, task.train, task.test).run();
   EXPECT_TRUE(a.churn_trace.empty());
   EXPECT_TRUE(a.reputation_scores.empty());
   ASSERT_EQ(a.round_f.size(), c.steps);
   for (size_t fe : a.round_f) EXPECT_EQ(fe, c.num_byzantine);
+
+  // ...and inert when nothing can churn: zero-probability epochs with the
+  // reputation gate off renegotiate every boundary (E = 20: rounds 20 and
+  // 40) to the identical roster, so the trajectory must match churn-off.
+  ExperimentConfig zero = c;
+  zero.churn = "epoch";
+  zero.churn_epoch_rounds = 20;
+  zero.churn_join_prob = 0.0;
+  zero.churn_leave_prob = 0.0;
+  zero.churn_crash_prob = 0.0;
+  zero.reputation = "off";
+  const RunResult z = Trainer(zero, task.model, task.train, task.test).run();
+  EXPECT_TRUE(z.churn_trace.empty());
+  EXPECT_EQ(z.train_loss, a.train_loss);
+  EXPECT_EQ(z.final_parameters, a.final_parameters);
+  EXPECT_EQ(z.round_rows, a.round_rows);
+  EXPECT_EQ(z.round_f, a.round_f);
 }
 
 TEST(MembershipTraining, RoundRowsTrackTheRosterAcrossEpochs) {

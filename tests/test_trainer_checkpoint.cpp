@@ -249,19 +249,38 @@ TEST(TrainerCheckpoint, ResumeRejectsIncompatibleConfig) {
 }
 
 TEST(TrainerCheckpoint, CheckpointingOffLeavesTrajectoryUntouched) {
-  // Depth-k dispatch barriers exist only when checkpoint_every > 0; with
-  // checkpointing off the refactored engine must reproduce the plain
-  // depth-2 trajectory (also golden-pinned; this is the direct A/B).
+  // Writing checkpoints must not perturb a run: checkpoint_every = 10
+  // against checkpointing off, bit for bit, on a plain and on a churning
+  // config.  Depth 0, where checkpoint rounds are not dispatch barriers
+  // (at depth >= 1 they are, and change staleness by design; the depth-2
+  // checkpointing-off trajectory is golden-pinned in
+  // RoundPipelineRingGolden.Depth2DpAttackTrajectoryPinned).
   SmallTask task;
-  ExperimentConfig c;
-  c.steps = 30;
-  c.eval_every = 10;
-  c.batch_size = 10;
-  c.pipeline_depth = 2;
-  const RunResult a = Trainer(c, task.model, task.train, task.test).run();
-  const RunResult b = Trainer(c, task.model, task.train, task.test).run();
-  EXPECT_EQ(a.train_loss, b.train_loss);
-  EXPECT_EQ(a.final_parameters, b.final_parameters);
+  ExperimentConfig plain;
+  plain.steps = 60;
+  plain.eval_every = 10;
+  plain.batch_size = 10;
+  ExperimentConfig churning = plain;
+  churning.churn = "epoch";
+  churning.churn_epoch_rounds = 20;
+  churning.churn_join_prob = 0.6;
+  churning.churn_leave_prob = 0.1;
+  for (const ExperimentConfig& off : {plain, churning}) {
+    ExperimentConfig writing = off;
+    writing.checkpoint_path = temp_ckpt("inert_" + off.churn);
+    writing.checkpoint_every = 10;
+    const RunResult a = Trainer(off, task.model, task.train, task.test).run();
+    const RunResult b = Trainer(writing, task.model, task.train, task.test).run();
+    std::remove(writing.checkpoint_path.c_str());
+    if (off.churn == "epoch") {
+      EXPECT_FALSE(a.churn_trace.empty());
+    }
+    EXPECT_EQ(b.train_loss, a.train_loss) << off.churn;
+    EXPECT_EQ(b.final_parameters, a.final_parameters) << off.churn;
+    EXPECT_EQ(b.round_rows, a.round_rows) << off.churn;
+    EXPECT_EQ(b.round_f, a.round_f) << off.churn;
+    EXPECT_EQ(b.churn_trace, a.churn_trace) << off.churn;
+  }
 }
 
 }  // namespace

@@ -7,8 +7,8 @@
 // CSV/JSON artifacts.  A killed campaign resumes from its manifest and
 // produces byte-identical artifacts (see src/campaign/runner.hpp).
 //
-// Examples:
-//   dpbyz_campaign --gars=mda,krum --attacks=none,little,adaptive_alie \
+// Examples (each one command line):
+//   dpbyz_campaign --gars=mda,krum --attacks=none,little,adaptive_alie
 //       --eps=0,0.2 --steps=300 --seeds=3 --out=bench_out/campaign
 //   dpbyz_campaign --gars=krum --attacks=little --eps=0 --dry-run
 //   dpbyz_campaign ... --max-cells=2        # budgeted slice (CI resume leg)
