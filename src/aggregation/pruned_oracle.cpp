@@ -4,7 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "math/vector_ops.hpp"
+#include "math/kernels.hpp"
 #include "utils/errors.hpp"
 
 namespace dpbyz {
@@ -32,10 +32,11 @@ double PrunedDistanceOracle::exact_sq(size_t i, size_t j) {
   if (i == j) return 0.0;
   const size_t idx = i * rows_ + j;
   if (!known_[idx]) {
-    // vec::dist_sq dispatches on the process math mode exactly like the
-    // pairwise_dist_sq kernel does, so the cached double is the one the
+    // The seed's single-pair loop in either math mode: pairwise_dist_sq
+    // is bit-identical to it, so the cached double is the one the
     // full-matrix path would have produced.
-    const double s = vec::dist_sq(batch_->row(i), batch_->row(j));
+    const double s =
+        kernels::dist_sq_scalar(batch_->row(i).data(), batch_->row(j).data(), batch_->dim());
     const double t = std::sqrt(s);
     const size_t jdx = j * rows_ + i;
     cache_sq_[idx] = cache_sq_[jdx] = s;

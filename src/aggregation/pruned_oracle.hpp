@@ -36,10 +36,10 @@
 //      (BENCH_gar_scaling.json, docs/AGGREGATORS.md).
 //
 //   3. A lazy symmetric exact cache: exact_sq(i, j) computes
-//      vec::dist_sq(row_i, row_j) — bit-identical to the matrix entries
-//      pairwise_dist_sq fills, in either math mode — at most once per
-//      pair, so Bulyan's shrinking-pool rounds and MDA's DFS pay each
-//      surviving pair exactly once.  exact_pairs() reports how many
+//      kernels::dist_sq_scalar(row_i, row_j) — bit-identical to the
+//      matrix entries pairwise_dist_sq fills, in either math mode — at
+//      most once per pair, so Bulyan's shrinking-pool rounds and MDA's
+//      DFS pay each surviving pair exactly once.  exact_pairs() reports how many
 //      pairs were evaluated; 1 − exact_pairs/total_pairs is the
 //      pruned-pair fraction the bench records.
 //

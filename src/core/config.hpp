@@ -130,9 +130,11 @@ struct ExperimentConfig {
   /// rounds they skip — i.e. come from a RunResult of the same
   /// (config, seed) — or the run throws.
   std::vector<StragglerDecision> straggler_replay;
-  /// Opt-in fast math kernels for the hot reductions (pairwise dist_sq,
-  /// Krum/MDA/Bulyan scoring, CGE norms, Weiszfeld, clipping, momentum
-  /// axpy — see docs/ARCHITECTURE.md, "Math kernels").
+  /// Opt-in fast math kernels for the single-vector reductions: dot,
+  /// norm and single-pair distances (CGE norms, Weiszfeld, clipping,
+  /// momentum axpy — see docs/ARCHITECTURE.md, "Math kernels").  The
+  /// pairwise distance matrix behind Krum/MDA/Bulyan is bit-identical to
+  /// the seed and equally fast in both settings, so it is not affected.
   ///   false — the seed's single-accumulator scalar loops: bit-identical
   ///           to every golden-pinned trajectory (default).
   ///   true  — multi-accumulator / AVX2 kernels: reductions reassociate,

@@ -77,8 +77,9 @@ Trainer::Trainer(const ExperimentConfig& config, const Model& model, const Datas
 }
 
 RunResult Trainer::run() {
-  // One flag flips the whole hot path (pairwise kernel, GAR scoring,
-  // clipping, momentum): a fast_math run holds a counted fast scope for
+  // One flag flips every vec:: reduction (CGE and Weiszfeld scoring,
+  // clipping, momentum; the pairwise kernel is mode-independent): a
+  // fast_math run holds a counted fast scope for
   // its duration — covering the depth-1 fill thread, which the round
   // pipeline joins before this frame unwinds, and composing with the
   // overlapping scopes of sibling run_seeds_parallel runs (kernels.hpp).

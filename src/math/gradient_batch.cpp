@@ -144,72 +144,39 @@ void pairwise_dist_sq(const GradientBatch& batch, std::span<double> out,
   // Tile the (i, j) pair loop so a block of j-rows stays cache-resident
   // while the i-rows stream past it; each unordered pair belongs to
   // exactly one tile (the one containing j), so tiles are independent.
+  // Tiles hold whole multiples of kBlockRows rows, so each source group
+  // fills a block's lanes even when one row alone exceeds the tile bytes.
   constexpr size_t kTileBytes = 256 * 1024;
-  const size_t rows_per_tile = std::max<size_t>(1, kTileBytes / (sizeof(double) * d));
+  constexpr size_t kB = kernels::kBlockRows;
+  const size_t rows_per_tile =
+      (std::max<size_t>(1, kTileBytes / (sizeof(double) * d)) + kB - 1) / kB * kB;
   const size_t num_tiles = (n + rows_per_tile - 1) / rows_per_tile;
 
-  // Mode is sampled once per call so every pair in this matrix uses one
-  // implementation; each pair is computed by exactly one thread, so the
-  // result is bit-identical across thread widths in either mode.
-  //
-  // The inner loop is blocked two destination rows (i, i+1) deep: each
-  // streamed source row j is read once for both, halving the dominant
-  // memory traffic.  The dual kernels are bit-identical per output to
-  // their single-row counterparts (kernels.hpp), so blocking changes
-  // wall-clock only, never a double.
-  const bool fast = kernels::fast_enabled();
+  // Lanes across pairs: one kernel call computes the distances between
+  // kB destination rows [ib, ib + kB) and up to kB source rows
+  // [j0, j0 + m), one pair per lane, each summed in coordinate order —
+  // bit-identical to the seed's single-pair loop in either math mode,
+  // so neither blocking nor thread width changes a double.  A lane
+  // whose pair is not i < j (the block straddles the diagonal, or pads
+  // past row n - 1 with a repeat of the last row) is computed and
+  // dropped, so every entry has exactly one writer.
   auto do_tile = [&](size_t tile) {
     const size_t jb = tile * rows_per_tile;
     const size_t je = std::min(n, jb + rows_per_tile);
-    size_t i = 0;
-    for (; i + 1 < je; i += 2) {
-      const double* ri0 = batch.row(i).data();
-      const double* ri1 = batch.row(i + 1).data();
-      // The (i, i+1) pair itself belongs to the tile containing i+1.
-      if (i + 1 >= jb) {
-        double acc;
-        if (fast) {
-          acc = kernels::dist_sq_fast(ri0, ri1, d);
-        } else {
-          acc = 0.0;
-          for (size_t k = 0; k < d; ++k) {
-            const double diff = ri0[k] - ri1[k];
-            acc += diff * diff;
-          }
+    const double* a[kB];
+    const double* b[kB];
+    double block[kB * kB];
+    for (size_t ib = 0; ib + 1 < je; ib += kB) {
+      for (size_t l = 0; l < kB; ++l) a[l] = batch.row(std::min(ib + l, n - 1)).data();
+      for (size_t j0 = std::max(jb, ib + 1); j0 < je; j0 += kB) {
+        const size_t m = std::min(kB, je - j0);
+        for (size_t s = 0; s < m; ++s) b[s] = batch.row(j0 + s).data();
+        kernels::dist_sq_block(a, b, m, d, block);
+        for (size_t s = 0; s < m; ++s) {
+          const size_t j = j0 + s;
+          for (size_t i = ib; i < std::min(ib + kB, j); ++i)
+            out[i * n + j] = out[j * n + i] = block[kB * s + (i - ib)];
         }
-        out[i * n + (i + 1)] = acc;
-        out[(i + 1) * n + i] = acc;
-      }
-      for (size_t j = std::max(i + 2, jb); j < je; ++j) {
-        const double* rj = batch.row(j).data();
-        double acc0, acc1;
-        if (fast) {
-          kernels::dist_sq2_fast(ri0, ri1, rj, d, acc0, acc1);
-        } else {
-          kernels::dist_sq2_scalar(ri0, ri1, rj, d, acc0, acc1);
-        }
-        out[i * n + j] = acc0;
-        out[j * n + i] = acc0;
-        out[(i + 1) * n + j] = acc1;
-        out[j * n + (i + 1)] = acc1;
-      }
-    }
-    if (i < je) {  // odd trailing destination row
-      const double* ri = batch.row(i).data();
-      for (size_t j = std::max(i + 1, jb); j < je; ++j) {
-        const double* rj = batch.row(j).data();
-        double acc;
-        if (fast) {
-          acc = kernels::dist_sq_fast(ri, rj, d);
-        } else {
-          acc = 0.0;
-          for (size_t k = 0; k < d; ++k) {
-            const double diff = ri[k] - rj[k];
-            acc += diff * diff;
-          }
-        }
-        out[i * n + j] = acc;
-        out[j * n + i] = acc;
       }
     }
     return 0;

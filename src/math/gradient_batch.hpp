@@ -134,9 +134,11 @@ void median_rows_into(const GradientBatch& batch, std::vector<double>& column_sc
 /// Symmetric pairwise squared-distance kernel shared by Krum, MDA and
 /// Bulyan: fills the rows*rows row-major matrix `out` with
 /// out[i*rows + j] = ||row_i - row_j||², diagonal 0.  Each unordered pair
-/// is computed once; per-pair accumulation runs a single forward pass over
-/// the coordinates, so every entry is bit-identical to vec::dist_sq on the
-/// same rows.  The pair loop is tiled over row blocks for cache reuse and
+/// is computed once, in one SIMD lane of kernels::dist_sq_block (lanes
+/// across pairs), by a single forward pass over the coordinates, so every
+/// entry is bit-identical to kernels::dist_sq_scalar on the same rows —
+/// in either math mode (fast mode does not touch this kernel).  The pair
+/// loop is tiled over row blocks for cache reuse and
 /// dispatched through parallel_map (coarse grain, on the process-wide
 /// ThreadPool) when the work is large enough to amortise dispatch;
 /// `threads` = 0 picks the hardware concurrency, 1 (the default) forces

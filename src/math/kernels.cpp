@@ -168,52 +168,33 @@ void u8_scale(double* a, double s, size_t n) {
   for (; i < n; ++i) a[i] *= s;
 }
 
-void u8_dist_sq2(const double* a0, const double* a1, const double* b, size_t n,
-                 double& out0, double& out1) {
-  // Per output, identical lane assignment and combine order to
-  // u8_dist_sq; the two accumulator sets are independent, so sharing the
-  // b stream cannot couple the results.
-  double p0 = 0, p1 = 0, p2 = 0, p3 = 0, p4 = 0, p5 = 0, p6 = 0, p7 = 0;
-  double q0 = 0, q1 = 0, q2 = 0, q3 = 0, q4 = 0, q5 = 0, q6 = 0, q7 = 0;
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const double b0 = b[i], b1 = b[i + 1], b2 = b[i + 2], b3 = b[i + 3];
-    const double b4 = b[i + 4], b5 = b[i + 5], b6 = b[i + 6], b7 = b[i + 7];
-    const double c0 = a0[i] - b0, c1 = a0[i + 1] - b1;
-    const double c2 = a0[i + 2] - b2, c3 = a0[i + 3] - b3;
-    const double c4 = a0[i + 4] - b4, c5 = a0[i + 5] - b5;
-    const double c6 = a0[i + 6] - b6, c7 = a0[i + 7] - b7;
-    p0 += c0 * c0;
-    p1 += c1 * c1;
-    p2 += c2 * c2;
-    p3 += c3 * c3;
-    p4 += c4 * c4;
-    p5 += c5 * c5;
-    p6 += c6 * c6;
-    p7 += c7 * c7;
-    const double e0 = a1[i] - b0, e1 = a1[i + 1] - b1;
-    const double e2 = a1[i + 2] - b2, e3 = a1[i + 3] - b3;
-    const double e4 = a1[i + 4] - b4, e5 = a1[i + 5] - b5;
-    const double e6 = a1[i + 6] - b6, e7 = a1[i + 7] - b7;
-    q0 += e0 * e0;
-    q1 += e1 * e1;
-    q2 += e2 * e2;
-    q3 += e3 * e3;
-    q4 += e4 * e4;
-    q5 += e5 * e5;
-    q6 += e6 * e6;
-    q7 += e7 * e7;
+// The pairwise block: lane (l, s) is the seed's loop over (a[l], b[s]).
+// Each coordinate of the four destination rows is read once per block
+// and each source coordinate once per destination quadruple; the 4 * S
+// accumulators are independent chains, which is where the speed comes
+// from.  The compiler may vectorize across lanes but, without
+// -ffast-math, never across k, so every sum keeps its order.
+template <size_t S>
+void u8_dist_sq_block(const double* const* a, const double* const* b, size_t n,
+                      double* out) {
+  double acc[kBlockRows * S] = {};
+  const double* a0 = a[0];
+  const double* a1 = a[1];
+  const double* a2 = a[2];
+  const double* a3 = a[3];
+  for (size_t k = 0; k < n; ++k) {
+    const double x0 = a0[k], x1 = a1[k], x2 = a2[k], x3 = a3[k];
+    for (size_t s = 0; s < S; ++s) {
+      const double y = b[s][k];
+      const double e0 = x0 - y, e1 = x1 - y, e2 = x2 - y, e3 = x3 - y;
+      double* lane = acc + kBlockRows * s;
+      lane[0] += e0 * e0;
+      lane[1] += e1 * e1;
+      lane[2] += e2 * e2;
+      lane[3] += e3 * e3;
+    }
   }
-  double r0 = ((p0 + p4) + (p1 + p5)) + ((p2 + p6) + (p3 + p7));
-  double r1 = ((q0 + q4) + (q1 + q5)) + ((q2 + q6) + (q3 + q7));
-  for (; i < n; ++i) {
-    const double c = a0[i] - b[i];
-    const double e = a1[i] - b[i];
-    r0 += c * c;
-    r1 += e * e;
-  }
-  out0 = r0;
-  out1 = r1;
+  for (size_t i = 0; i < kBlockRows * S; ++i) out[i] = acc[i];
 }
 
 }  // namespace
@@ -263,32 +244,30 @@ void scale_fast(double* a, double s, size_t n) {
   }
 }
 
-void dist_sq2_fast(const double* a0, const double* a1, const double* b, size_t n,
-                   double& out0, double& out1) {
-  switch (fast_backend_kind()) {
-    case FastBackend::kAvx2:
-      return detail::avx2_dist_sq2(a0, a1, b, n, out0, out1);
-    default:
-      return u8_dist_sq2(a0, a1, b, n, out0, out1);
+double dist_sq_scalar(const double* a, const double* b, size_t n) {
+  double acc = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const double diff = a[i] - b[i];
+    acc += diff * diff;
   }
+  return acc;
 }
 
-void dist_sq2_scalar(const double* a0, const double* a1, const double* b, size_t n,
-                     double& out0, double& out1) {
-  // Two independent single-accumulator forward loops, interleaved so the
-  // compiler can share the b loads; per output this is the exact
-  // instruction-order-independent sum vec::dist_sq's scalar path
-  // produces (one accumulator, ascending index).
-  double r0 = 0.0;
-  double r1 = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double c = a0[i] - b[i];
-    const double e = a1[i] - b[i];
-    r0 += c * c;
-    r1 += e * e;
+void dist_sq_block(const double* const* a, const double* const* b, size_t m, size_t n,
+                   double* out) {
+  static_assert(kBlockRows == 4, "the block bodies unroll four destination lanes");
+  if (fast_backend_kind() == FastBackend::kAvx2)
+    return detail::avx2_dist_sq_block(a, b, m, n, out);
+  switch (m) {
+    case 1:
+      return u8_dist_sq_block<1>(a, b, n, out);
+    case 2:
+      return u8_dist_sq_block<2>(a, b, n, out);
+    case 3:
+      return u8_dist_sq_block<3>(a, b, n, out);
+    default:
+      return u8_dist_sq_block<4>(a, b, n, out);
   }
-  out0 = r0;
-  out1 = r1;
 }
 
 }  // namespace dpbyz::kernels

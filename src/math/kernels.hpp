@@ -1,33 +1,60 @@
-// kernels.hpp — opt-in fast-math implementations of the hot reductions.
+// kernels.hpp — the hot reductions behind the GARs: one bit-identical
+// pairwise-distance kernel and the opt-in fast-math reductions.
 //
 // The GAR hot path is dominated by a handful of span reductions:
 // pairwise ||a - b||² (Krum scoring, MDA diameter, Bulyan rescoring),
 // ||a||² (CGE), <a, b> and the elementwise axpy/scale pair (Weiszfeld,
-// clipping, momentum).  The default implementations in vector_ops.cpp are
+// clipping, momentum).  The default implementations are
 // single-accumulator left-to-right loops: they are bit-identical to the
-// seed (the golden tests pin their exact doubles), but a single serial
-// dependency chain caps them at one add per FP-add latency — a fraction
-// of what the machine can retire.
+// seed (the golden tests pin their exact doubles), but ONE such sum is a
+// single serial dependency chain, capped at one add per FP-add latency —
+// a fraction of what the machine can retire.  There are two ways out:
+// keep each sum's order and run many sums side by side, or reassociate
+// each sum.  This layer does the first for the pairwise matrix and
+// offers the second, opt-in, for the single-vector reductions.
 //
-// This layer provides the opt-in fast path:
+// Pairwise distances: lanes across pairs.  dist_sq_block computes a
+// block of up to 4 × 4 squared distances, one (destination row, source
+// row) pair per SIMD lane.  Each lane accumulates (a[k] - b[k])² for
+// k = 0..n-1 in order, in one accumulator, with a separate subtract,
+// multiply and add — exactly the seed's loop (dist_sq_scalar), so every
+// entry is bit-identical to it; the speed comes from the 4 × 4
+// independent chains and from reading each coordinate once per block,
+// not from reordering any sum.  pairwise_dist_sq (gradient_batch.hpp)
+// tiles the matrix into these blocks.  There is one such kernel and it
+// serves both math modes: fast mode does not change a pairwise entry.
 //
-//   * `*_fast` kernels break each reduction into kLanes = 8 independent
-//     accumulators plus a scalar tail, then combine the partials
-//     pairwise.  The elementwise kernels (axpy, scale) are restructured
-//     the same way but perform the exact same per-element arithmetic, so
-//     they remain bit-identical to the scalar loops.
+// The no-FMA rule.  A fused multiply-add rounds (a - b)² + acc once
+// instead of twice, so it changes the double.  No kernel here may
+// contract: the AVX2 bodies are compiled under target("avx2") only,
+// never "fma", and the build passes -ffp-contract=off so that no
+// -march choice lets the compiler fuse the plain-C++ loops (or the
+// intrinsics' mul + add) behind our back.
+//
+// Fast mode (opt-in):
+//
+//   * `*_fast` kernels break each single-vector reduction (dist_sq, dot,
+//     norm_sq) into kLanes = 8 independent accumulators plus a scalar
+//     tail, then combine the partials pairwise.  The elementwise kernels
+//     (axpy, scale) are restructured the same way but perform the exact
+//     same per-element arithmetic, so they remain bit-identical to the
+//     scalar loops.
 //   * a process-global MathMode flag selects which implementation the
-//     vec:: entry points (and pairwise_dist_sq) dispatch to.  The mode
-//     defaults to kScalar, so nothing changes unless a caller opts in —
+//     vec:: entry points dispatch to (Weiszfeld, CGE, clipping,
+//     momentum; not the pairwise matrix).  The mode defaults to kScalar,
+//     so nothing changes unless a caller opts in —
 //     ExperimentConfig::fast_math is the user-facing knob (the trainer
 //     installs a MathModeScope for the duration of the run).
 //
 // Dispatch model (runtime ISA selection): one binary carries TWO
-// backends behind MathMode::kFast —
+// backends, for the fast reductions and for the pairwise block alike —
 //
-//   kUnrolled8  portable eight-accumulator scalar loops (always present);
-//   kAvx2       AVX2 vector loops, same lane split and combine order, no
-//               FMA — bit-identical to kUnrolled8 on every input.
+//   kUnrolled8  portable plain C++ (always present): eight-accumulator
+//               reductions, and the 4 × 4 pairwise block as 16 scalar
+//               accumulators;
+//   kAvx2       AVX2 vector loops, same lane split and combine order /
+//               same per-lane sums, no FMA — bit-identical to kUnrolled8
+//               on every input.
 //
 // At startup the backend is chosen by cpuid: kAvx2 when the host supports
 // it, kUnrolled8 otherwise.  The ISA-specific bodies live in
@@ -36,9 +63,9 @@
 // set_fast_backend overrides the choice (tests use it to run the portable
 // backend on an AVX2 host).
 //
-// Accuracy contract (the "ULP bound" the fast golden tests enforce):
-// every per-element product/difference is computed exactly as in the
-// scalar loop — only the *summation order* changes.  For a reduction over
+// Fast-mode accuracy contract (the "ULP bound" the fast golden tests
+// enforce): every per-element product/difference is computed exactly as
+// in the scalar loop — only the *summation order* changes.  For a reduction over
 // d terms the classical reassociation bound gives
 //
 //     |fast - scalar| <= 2 * d * eps * sum_i |term_i|,   eps = 2^-53,
@@ -51,13 +78,13 @@
 //
 // Determinism contract: for a fixed (binary, backend) and a fixed input,
 // the fast kernels are pure functions — the lane split depends only on d,
-// never on data, timing or thread count.  pairwise_dist_sq computes each
-// pair on exactly one thread, so fast-mode results are bit-identical
-// across every `threads` width and across reruns (enforced by the bench
-// --check gate).  kUnrolled8 and kAvx2 agree bit-for-bit, so every host
-// yields one fast-mode answer whichever backend it selects.
-// The default scalar MathMode still promises bit-identity to the seed and
-// stays the default.
+// never on data, timing or thread count.  kUnrolled8 and kAvx2 agree
+// bit-for-bit, so every host yields one fast-mode answer whichever
+// backend it selects.  The default scalar MathMode still promises
+// bit-identity to the seed and stays the default.  pairwise_dist_sq
+// computes each pair on exactly one thread with the bit-identical block
+// kernel, so its matrix is the seed's in either mode, at every `threads`
+// width and on every backend.
 //
 // Thread model: the mode is one process-global atomic *count* of live
 // fast scopes (relaxed loads on the hot path) — the fast path is active
@@ -96,9 +123,10 @@ MathMode mode();
 /// True iff the fast path is currently selected.
 bool fast_enabled();
 
-/// The implementation behind MathMode::kFast (see the dispatch model).
+/// The implementation behind the fast reductions and the pairwise block
+/// (see the dispatch model).
 enum class FastBackend {
-  kUnrolled8,  ///< portable 8-accumulator scalar loops
+  kUnrolled8,  ///< portable plain-C++ loops
   kAvx2,       ///< AVX2, no FMA — bit-identical to kUnrolled8
 };
 
@@ -137,8 +165,8 @@ class MathModeScope {
 };
 
 // ---- raw fast kernels ------------------------------------------------------
-// Always available regardless of the current mode (the bench times them
-// side by side with the scalar loops).  Null-safe for n == 0.  Each call
+// Always available regardless of the current mode (tests compare them
+// with the scalar loops).  Null-safe for n == 0.  Each call
 // routes to the selected backend (fast_backend_kind()).
 
 /// sum_i (a_i - b_i)^2 with 8 partial accumulators.
@@ -156,19 +184,24 @@ void axpy_fast(double* a, double s, const double* b, size_t n);
 /// a_i *= s.  Elementwise: bit-identical to the scalar loop.
 void scale_fast(double* a, double s, size_t n);
 
-/// Dual-destination dist_sq: out0 = ||a0 - b||², out1 = ||a1 - b||² in
-/// one pass over the streamed source row b, halving its memory traffic
-/// (the pairwise kernel's blocked inner loop).  Per output, arithmetic
-/// and lane/combine order match dist_sq_fast exactly, so each result is
-/// bit-identical to the single-row kernel on the same backend.
-void dist_sq2_fast(const double* a0, const double* a1, const double* b, size_t n,
-                   double& out0, double& out1);
+// ---- the pairwise block (mode-independent) ---------------------------------
 
-/// Dual-destination scalar dist_sq: per output, a single-accumulator
-/// forward loop bit-identical to vec::dist_sq's scalar path.  Lives here
-/// (not vector_ops) so pairwise_dist_sq's scalar branch can block its
-/// inner loop without touching the golden scalar semantics.
-void dist_sq2_scalar(const double* a0, const double* a1, const double* b, size_t n,
-                     double& out0, double& out1);
+/// sum_i (a_i - b_i)^2 as the seed's loop: one accumulator, ascending i.
+/// Independent of the math mode — the single-pair reference every
+/// pairwise entry is bit-identical to (vec::dist_sq's scalar path and
+/// the pruning oracle's exact distances use it).
+double dist_sq_scalar(const double* a, const double* b, size_t n);
+
+/// Destination rows per pairwise block: one SIMD lane each.
+inline constexpr size_t kBlockRows = 4;
+
+/// Lanes across pairs: for every l < kBlockRows and s < m,
+///   out[kBlockRows * s + l] = dist_sq_scalar(a[l], b[s], n),
+/// bit for bit (each lane runs one in-order accumulator, no FMA).
+/// 1 <= m <= kBlockRows source rows; a[] always holds kBlockRows
+/// pointers (callers repeat a row to pad, and ignore those lanes).
+/// Routes to the selected backend (fast_backend_kind()).
+void dist_sq_block(const double* const* a, const double* const* b, size_t m, size_t n,
+                   double* out);
 
 }  // namespace dpbyz::kernels

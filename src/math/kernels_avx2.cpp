@@ -5,11 +5,14 @@
 // hosts — the dispatcher only routes here after cpuid says the host can
 // execute these instructions.
 //
-// Lane discipline (shared with the portable unrolled8 backend): term i
-// feeds accumulator i mod 8 within each 8-wide block, partials combine as
-// ((s0+s4)+(s1+s5)) + ((s2+s6)+(s3+s7)), scalar tail last.  Each function
-// performs the exact same correctly-rounded multiply and add (no FMA) the
-// unrolled8 backend performs, so the two agree bit-for-bit.
+// Lane discipline (shared with the portable unrolled8 backend): in the
+// fast reductions term i feeds accumulator i mod 8 within each 8-wide
+// block, partials combine as ((s0+s4)+(s1+s5)) + ((s2+s6)+(s3+s7)),
+// scalar tail last; in the pairwise block each lane is one (destination,
+// source) pair summed in coordinate order.  Each function performs the
+// exact same correctly-rounded multiply and add the portable backend
+// performs — target("avx2") only, never "fma" — so the two agree
+// bit-for-bit.
 
 #include "math/kernels_isa.hpp"
 
@@ -108,38 +111,66 @@ __attribute__((target("avx2"))) void avx2_scale(double* a, double s, size_t n) {
   for (; i < n; ++i) a[i] *= s;
 }
 
-__attribute__((target("avx2"))) void avx2_dist_sq2(const double* a0, const double* a1,
-                                                   const double* b, size_t n,
-                                                   double& out0, double& out1) {
-  // Dual destination rows over one streamed source row: per output the
-  // arithmetic and lane/combine order are exactly avx2_dist_sq's, so each
-  // result is bit-identical to the single-row kernel — only the memory
-  // traffic on b halves.
-  __m256d p0 = _mm256_setzero_pd(), p1 = _mm256_setzero_pd();
-  __m256d q0 = _mm256_setzero_pd(), q1 = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d b0 = _mm256_loadu_pd(b + i);
-    const __m256d b1 = _mm256_loadu_pd(b + i + 4);
-    const __m256d d00 = _mm256_sub_pd(_mm256_loadu_pd(a0 + i), b0);
-    const __m256d d01 = _mm256_sub_pd(_mm256_loadu_pd(a0 + i + 4), b1);
-    const __m256d d10 = _mm256_sub_pd(_mm256_loadu_pd(a1 + i), b0);
-    const __m256d d11 = _mm256_sub_pd(_mm256_loadu_pd(a1 + i + 4), b1);
-    p0 = _mm256_add_pd(p0, _mm256_mul_pd(d00, d00));
-    p1 = _mm256_add_pd(p1, _mm256_mul_pd(d01, d01));
-    q0 = _mm256_add_pd(q0, _mm256_mul_pd(d10, d10));
-    q1 = _mm256_add_pd(q1, _mm256_mul_pd(d11, d11));
+namespace {
+
+// One coordinate step of the pairwise block: c holds coordinate k of the
+// four destination rows (lane l = row a[l]); each source row's value is
+// broadcast against it, and lane l of acc[s] gains (a[l][k] - b[s][k])²
+// through a separate subtract, multiply and add.
+template <size_t S>
+__attribute__((target("avx2"), always_inline)) inline void block_step(
+    __m256d* acc, const double* const* b, __m256d c, size_t k) {
+  for (size_t s = 0; s < S; ++s) {
+    const __m256d e = _mm256_sub_pd(c, _mm256_broadcast_sd(b[s] + k));
+    acc[s] = _mm256_add_pd(acc[s], _mm256_mul_pd(e, e));
   }
-  double r0 = combine(p0, p1);
-  double r1 = combine(q0, q1);
-  for (; i < n; ++i) {
-    const double e0 = a0[i] - b[i];
-    const double e1 = a1[i] - b[i];
-    r0 += e0 * e0;
-    r1 += e1 * e1;
+}
+
+// Lanes across pairs: every lane walks k = 0..n-1 in order with one
+// accumulator, so lane l of acc[s] is bit-identical to the scalar loop
+// over (a[l], b[s]).  Four coordinates of the four destination rows are
+// loaded and transposed in registers, so each is read once per block.
+template <size_t S>
+__attribute__((target("avx2"))) void dist_sq_block(const double* const* a,
+                                                   const double* const* b, size_t n,
+                                                   double* out) {
+  __m256d acc[S];
+  for (size_t s = 0; s < S; ++s) acc[s] = _mm256_setzero_pd();
+  const double* a0 = a[0];
+  const double* a1 = a[1];
+  const double* a2 = a[2];
+  const double* a3 = a[3];
+  size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    const __m256d r0 = _mm256_loadu_pd(a0 + k), r1 = _mm256_loadu_pd(a1 + k);
+    const __m256d r2 = _mm256_loadu_pd(a2 + k), r3 = _mm256_loadu_pd(a3 + k);
+    const __m256d lo01 = _mm256_unpacklo_pd(r0, r1);  // a0[k], a1[k], a0[k+2], a1[k+2]
+    const __m256d hi01 = _mm256_unpackhi_pd(r0, r1);  // a0[k+1], a1[k+1], ...
+    const __m256d lo23 = _mm256_unpacklo_pd(r2, r3);
+    const __m256d hi23 = _mm256_unpackhi_pd(r2, r3);
+    block_step<S>(acc, b, _mm256_permute2f128_pd(lo01, lo23, 0x20), k);
+    block_step<S>(acc, b, _mm256_permute2f128_pd(hi01, hi23, 0x20), k + 1);
+    block_step<S>(acc, b, _mm256_permute2f128_pd(lo01, lo23, 0x31), k + 2);
+    block_step<S>(acc, b, _mm256_permute2f128_pd(hi01, hi23, 0x31), k + 3);
   }
-  out0 = r0;
-  out1 = r1;
+  for (; k < n; ++k) block_step<S>(acc, b, _mm256_set_pd(a3[k], a2[k], a1[k], a0[k]), k);
+  for (size_t s = 0; s < S; ++s) _mm256_storeu_pd(out + 4 * s, acc[s]);
+}
+
+}  // namespace
+
+void avx2_dist_sq_block(const double* const* a, const double* const* b, size_t m,
+                        size_t n, double* out) {
+  switch (m) {
+    case 1:
+      return dist_sq_block<1>(a, b, n, out);
+    case 2:
+      return dist_sq_block<2>(a, b, n, out);
+    case 3:
+      return dist_sq_block<3>(a, b, n, out);
+    default:
+      return dist_sq_block<4>(a, b, n, out);
+  }
 }
 
 }  // namespace dpbyz::kernels::detail
@@ -155,10 +186,8 @@ double avx2_dot(const double*, const double*, size_t) { return 0.0; }
 double avx2_norm_sq(const double*, size_t) { return 0.0; }
 void avx2_axpy(double*, double, const double*, size_t) {}
 void avx2_scale(double*, double, size_t) {}
-void avx2_dist_sq2(const double*, const double*, const double*, size_t, double& o0,
-                   double& o1) {
-  o0 = o1 = 0.0;
-}
+void avx2_dist_sq_block(const double* const*, const double* const*, size_t, size_t,
+                        double*) {}
 
 }  // namespace dpbyz::kernels::detail
 

@@ -14,13 +14,16 @@ namespace dpbyz::kernels::detail {
 bool cpu_has_avx2();
 
 // AVX2 backend (no FMA): same lane split and combine order as the
-// portable unrolled8 backend, so the two agree bit-for-bit.
+// portable backend, so the two agree bit-for-bit.
 double avx2_dist_sq(const double* a, const double* b, size_t n);
 double avx2_dot(const double* a, const double* b, size_t n);
 double avx2_norm_sq(const double* a, size_t n);
 void avx2_axpy(double* a, double s, const double* b, size_t n);
 void avx2_scale(double* a, double s, size_t n);
-void avx2_dist_sq2(const double* a0, const double* a1, const double* b, size_t n,
-                   double& out0, double& out1);
+// The lanes-across-pairs pairwise block (kernels::dist_sq_block): one
+// in-order accumulator per (a[l], b[s]) lane, bit-identical to the
+// portable block and to kernels::dist_sq_scalar.
+void avx2_dist_sq_block(const double* const* a, const double* const* b, size_t m,
+                        size_t n, double* out);
 
 }  // namespace dpbyz::kernels::detail

@@ -89,12 +89,7 @@ double norm_inf(CView a) {
 double dist_sq(CView a, CView b) {
   require_same_dim(a, b, "dist_sq");
   if (kernels::fast_enabled()) return kernels::dist_sq_fast(a.data(), b.data(), a.size());
-  double acc = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    const double diff = a[i] - b[i];
-    acc += diff * diff;
-  }
-  return acc;
+  return kernels::dist_sq_scalar(a.data(), b.data(), a.size());
 }
 
 double dist(CView a, CView b) { return std::sqrt(dist_sq(a, b)); }

@@ -6,6 +6,10 @@
 //   * elementwise kernels (axpy, scale) bit-identical in both modes;
 //   * fast-mode determinism: reruns bit-equal, and pairwise_dist_sq
 //     bit-equal at every thread width (these run under the TSAN CI job);
+//   * the pairwise block kernel (lanes across pairs): every matrix entry
+//     bit-equal to the seed's single-pair loop on every block shape, on
+//     row views, on both backends, in both modes and at 1 and 4 threads,
+//     and distinguishable from an FMA-accumulated sum;
 //   * the dispatch plumbing itself: MathModeScope restore semantics, the
 //     scalar default, and the ExperimentConfig::fast_math knob driving a
 //     deterministic (and scalar-defaulting) trainer;
@@ -20,8 +24,11 @@
 
 #include <cmath>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "aggregation/aggregator.hpp"
 #include "core/trainer.hpp"
@@ -302,44 +309,144 @@ TEST(MathKernels, Unrolled8AndAvx2AgreeBitForBit) {
   }
 }
 
-// ---- dual-destination kernel ------------------------------------------------
+// ---- pairwise block kernel (lanes across pairs) ----------------------------
 
-TEST(MathKernels, DualRowScalarKernelBitIdenticalToScalarDistSq) {
-  for (size_t d : {0u, 1u, 7u, 8u, 9u, 64u, 1000u, 1003u}) {
-    const Vector a0 = random_vector(d == 0 ? 1 : d, 1000 + d);
-    const Vector a1 = random_vector(d == 0 ? 1 : d, 1100 + d);
-    const Vector b = random_vector(d == 0 ? 1 : d, 1200 + d);
-    double out0 = -1.0, out1 = -1.0;
-    kernels::dist_sq2_scalar(a0.data(), a1.data(), b.data(), d, out0, out1);
-    // Default mode is scalar, so vec::dist_sq IS the golden scalar loop.
-    Vector a0d(a0.begin(), a0.begin() + d), a1d(a1.begin(), a1.begin() + d),
-        bd(b.begin(), b.begin() + d);
-    EXPECT_EQ(out0, vec::dist_sq(a0d, bd)) << "d=" << d;
-    EXPECT_EQ(out1, vec::dist_sq(a1d, bd)) << "d=" << d;
+/// The seed's single-pair loop, written out here so the kernel is checked
+/// against the loop itself rather than against library code.
+double seed_dist_sq(std::span<const double> a, std::span<const double> b) {
+  double acc = 0.0;
+  for (size_t k = 0; k < a.size(); ++k) {
+    const double diff = a[k] - b[k];
+    acc += diff * diff;
+  }
+  return acc;
+}
+
+/// Every entry of pairwise_dist_sq(batch) must equal seed_dist_sq on its
+/// two rows, bit for bit (EXPECT_EQ on doubles: no tolerance).
+void expect_pairwise_is_seed_loop(const GradientBatch& batch, const std::string& what) {
+  const size_t n = batch.rows();
+  std::vector<double> out(n * n, -1.0);
+  pairwise_dist_sq(batch, out);
+  for (size_t i = 0; i < n; ++i)
+    for (size_t j = 0; j < n; ++j)
+      ASSERT_EQ(out[i * n + j], i == j ? 0.0 : seed_dist_sq(batch.row(i), batch.row(j)))
+          << what << " (" << i << ", " << j << ")";
+}
+
+GradientBatch random_batch(size_t n, size_t d, uint64_t seed) {
+  GradientBatch batch(n, d);
+  Rng rng(seed);
+  for (size_t i = 0; i < n; ++i) batch.set_row(i, rng.normal_vector(d, 1.0));
+  return batch;
+}
+
+std::vector<kernels::FastBackend> supported_backends() {
+  std::vector<kernels::FastBackend> out;
+  for (kernels::FastBackend b : {kernels::FastBackend::kUnrolled8, kernels::FastBackend::kAvx2})
+    if (kernels::backend_supported(b)) out.push_back(b);
+  return out;
+}
+
+TEST(MathKernels, PairwiseBitIdenticalToSeedLoopOnEveryShapeBackendAndMode) {
+  // n covers an empty, partial and full block and both ragged source
+  // groups; d covers the 4-wide transpose body, its tail, and d < 4.
+  for (kernels::FastBackend backend : supported_backends()) {
+    BackendScope scope(backend);
+    for (size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 11u, 25u}) {
+      for (size_t d : {1u, 2u, 3u, 4u, 5u, 7u, 69u, 257u}) {
+        const GradientBatch batch = random_batch(n, d, 31 * n + d);
+        const std::string what = std::string(kernels::fast_backend()) +
+                                 " n=" + std::to_string(n) + " d=" + std::to_string(d);
+        expect_pairwise_is_seed_loop(batch, what);
+        // Fast mode does not touch the pairwise kernel: same matrix.
+        std::vector<double> scalar(n * n), fast(n * n);
+        pairwise_dist_sq(batch, scalar);
+        {
+          kernels::MathModeScope fast_scope(kernels::MathMode::kFast);
+          pairwise_dist_sq(batch, fast);
+        }
+        ASSERT_EQ(fast, scalar) << what;
+      }
+    }
   }
 }
 
-TEST(MathKernels, DualRowFastKernelBitIdenticalPerOutputOnEveryBackend) {
-  for (kernels::FastBackend backend :
-       {kernels::FastBackend::kUnrolled8, kernels::FastBackend::kAvx2}) {
-    if (!kernels::backend_supported(backend)) continue;
+TEST(MathKernels, PairwiseOverRowViewsAtOddOffsets) {
+  // Views start at odd rows, so the kernel's blocks straddle the
+  // parent's; the rows themselves are unaligned slices of one arena.
+  const GradientBatch parent = random_batch(23, 69, 5);
+  const std::pair<size_t, size_t> ranges[] = {{1, 12}, {3, 20}, {5, 6}, {7, 23}};
+  for (kernels::FastBackend backend : supported_backends()) {
     BackendScope scope(backend);
-    for (size_t d : {1u, 7u, 8u, 9u, 16u, 64u, 1000u, 1003u, 4097u}) {
-      const Vector a0 = random_vector(d, 1300 + d);
-      const Vector a1 = random_vector(d, 1400 + d);
-      const Vector b = random_vector(d, 1500 + d);
-      double out0 = -1.0, out1 = -1.0;
-      kernels::dist_sq2_fast(a0.data(), a1.data(), b.data(), d, out0, out1);
-      EXPECT_EQ(out0, kernels::dist_sq_fast(a0.data(), b.data(), d))
-          << kernels::fast_backend() << " d=" << d;
-      EXPECT_EQ(out1, kernels::dist_sq_fast(a1.data(), b.data(), d))
-          << kernels::fast_backend() << " d=" << d;
-      // Cancellation-heavy rows: the shared-b blocking must not change
-      // any per-output rounding even where terms nearly cancel.
-      const auto [aa, ab] = adversarial_pair(d, 1600 + d);
-      kernels::dist_sq2_fast(aa.data(), ab.data(), b.data(), d, out0, out1);
-      EXPECT_EQ(out0, kernels::dist_sq_fast(aa.data(), b.data(), d));
-      EXPECT_EQ(out1, kernels::dist_sq_fast(ab.data(), b.data(), d));
+    for (const auto& [lo, hi] : ranges) {
+      expect_pairwise_is_seed_loop(parent.view(lo, hi),
+                                   std::string(kernels::fast_backend()) + " view [" +
+                                       std::to_string(lo) + ", " + std::to_string(hi) + ")");
+    }
+  }
+}
+
+TEST(MathKernels, PairwiseOnCancellationHeavyRowsIsTheSeedLoopNotAnFma) {
+  // Rows share a large alternating offset, so each difference is a small
+  // residual that has lost ~10 bits to cancellation but keeps ~43, and
+  // every square carries a rounding error a fused multiply-add would not
+  // make.  (At much larger offsets the residuals would be so coarse that
+  // their squares are exact and an FMA changes nothing.)  The kernel must
+  // reproduce the two-rounding loop exactly.  An FMA-accumulated sum
+  // rounds differently on some of the pairs (a square's rounding error
+  // only shows when it moves the running sum across a rounding boundary),
+  // so at least one entry must differ from it — in a build that
+  // contracts the loop (and the reference with it) every entry equals
+  // the fused sum, and this catches it.
+  const size_t n = 9, d = 257;
+  GradientBatch batch(n, d);
+  Rng rng(404);
+  for (size_t i = 0; i < n; ++i) {
+    Vector v(d);
+    for (size_t k = 0; k < d; ++k) v[k] = (k % 2 == 0 ? 1e3 : -1e3) + rng.normal(0.0, 1.0);
+    batch.set_row(i, v);
+  }
+  for (kernels::FastBackend backend : supported_backends()) {
+    BackendScope scope(backend);
+    expect_pairwise_is_seed_loop(batch, kernels::fast_backend());
+    std::vector<double> out(n * n);
+    pairwise_dist_sq(batch, out);
+    size_t differ_from_fused = 0;
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = i + 1; j < n; ++j) {
+        double fused = 0.0;
+        const auto ri = batch.row(i), rj = batch.row(j);
+        for (size_t k = 0; k < d; ++k) fused = std::fma(ri[k] - rj[k], ri[k] - rj[k], fused);
+        differ_from_fused += out[i * n + j] != fused;
+      }
+    }
+    EXPECT_GT(differ_from_fused, 0u)
+        << kernels::fast_backend() << ": every entry equals an FMA-accumulated sum";
+  }
+}
+
+// Runs under the TSAN CI job with the other MathKernelsThreaded tests.
+TEST(MathKernelsThreaded, PairwiseBitIdenticalToSeedLoopAtOneAndFourThreads) {
+  // Both shapes clear the 2^24 parallel-dispatch threshold, so the
+  // 4-thread call really runs its tiles on the ThreadPool: 780 pairs *
+  // 22000 = 17.16M pair-coordinates over ten 4-row tiles, and
+  // 499500 pairs * 40 = 19.98M at n = 1000 over two wide tiles.
+  const std::pair<size_t, size_t> shapes[] = {{40, 22000}, {1000, 40}};
+  for (const auto& [n, d] : shapes) {
+    const GradientBatch batch = random_batch(n, d, 78);
+    std::vector<double> reference(n * n, 0.0);
+    for (size_t i = 0; i < n; ++i)
+      for (size_t j = i + 1; j < n; ++j)
+        reference[i * n + j] = reference[j * n + i] = seed_dist_sq(batch.row(i), batch.row(j));
+    for (kernels::FastBackend backend : supported_backends()) {
+      BackendScope scope(backend);
+      for (size_t threads : {1u, 4u}) {
+        std::vector<double> out(n * n, -1.0);
+        pairwise_dist_sq(batch, out, threads);
+        ASSERT_EQ(out, reference) << kernels::fast_backend() << " n = " << n
+                                  << " threads = " << threads;
+      }
     }
   }
 }

@@ -1,7 +1,8 @@
 // Tests for the distance-pruning layer (aggregation/pruned_oracle.hpp):
 //
 //   * bound validity: the oracle's certified lower/upper bounds bracket
-//     the exact distances vec::dist_sq produces — on random inputs AND
+//     the exact distances (the seed's single-pair loop, in either math
+//     mode) — on random inputs AND
 //     the FP-adversarial families (cancellation-heavy rows, duplicate
 //     rows, huge-norm rows) where naive triangle bounds overshoot by
 //     rounding;
@@ -18,6 +19,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "aggregation/aggregator.hpp"
 #include "aggregation/bulyan.hpp"
@@ -82,6 +84,17 @@ std::vector<Vector> huge_norm_rows(size_t n, size_t d, uint64_t seed) {
   return g;
 }
 
+/// The seed's single-accumulator distance loop: what the oracle's exact
+/// cache and the pairwise matrix compute in either math mode.
+double seed_dist_sq(std::span<const double> a, std::span<const double> b) {
+  double acc = 0.0;
+  for (size_t k = 0; k < a.size(); ++k) {
+    const double diff = a[k] - b[k];
+    acc += diff * diff;
+  }
+  return acc;
+}
+
 void expect_bounds_bracket_exact(const std::vector<Vector>& rows, const char* label) {
   const GradientBatch batch = GradientBatch::from_vectors(rows);
   PrunedDistanceOracle oracle;
@@ -89,7 +102,7 @@ void expect_bounds_bracket_exact(const std::vector<Vector>& rows, const char* la
   const size_t n = batch.rows();
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j < n; ++j) {
-      const double exact_sq = i == j ? 0.0 : vec::dist_sq(batch.row(i), batch.row(j));
+      const double exact_sq = i == j ? 0.0 : seed_dist_sq(batch.row(i), batch.row(j));
       const double exact_d = std::sqrt(exact_sq);
       EXPECT_LE(oracle.lb_dist(i, j), exact_d)
           << label << ": lb_dist above exact at (" << i << ", " << j << ")";
@@ -102,10 +115,11 @@ void expect_bounds_bracket_exact(const std::vector<Vector>& rows, const char* la
       EXPECT_LE(oracle.lb_dist(i, j), oracle.ub_dist(i, j));
     }
   }
-  // The lazy cache must agree with vec::dist_sq bit for bit.
+  // The lazy cache must agree with the seed's single-pair loop bit for
+  // bit, in either math mode (the pairwise matrix is that loop too).
   for (size_t i = 0; i < n; ++i)
     for (size_t j = i + 1; j < n; ++j) {
-      const double want = vec::dist_sq(batch.row(i), batch.row(j));
+      const double want = seed_dist_sq(batch.row(i), batch.row(j));
       EXPECT_EQ(oracle.exact_sq(i, j), want);
       EXPECT_EQ(oracle.exact_sq(j, i), want);  // symmetric cache
       EXPECT_EQ(oracle.exact_dist(i, j), std::sqrt(want));
@@ -130,8 +144,9 @@ TEST(PrunedOracle, BoundsBracketExactOnHugeNormRows) {
 }
 
 TEST(PrunedOracle, BoundsBracketExactInFastMathMode) {
-  // Fast mode changes the exact doubles (reassociated reductions); the
-  // slack must still cover the fast kernels' rounding.
+  // Fast mode changes the row norms the bounds start from (reassociated
+  // reductions) but not the exact doubles; the slack must still cover the
+  // fast kernels' rounding.
   kernels::MathModeScope scope(kernels::MathMode::kFast);
   expect_bounds_bracket_exact(random_rows(17, 1031, 6), "fast-random");
   expect_bounds_bracket_exact(cancellation_rows(12, 1000, 7), "fast-cancellation");
