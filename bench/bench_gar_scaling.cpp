@@ -16,15 +16,12 @@
 //                         thread-width bit-equality of the fast pairwise
 //                         matrix.  The JSON records the backend selected at
 //                         runtime ("avx2" / "unrolled8").
-//   prune_sweep           distance pruning (aggregation/pruned_oracle.hpp)
-//                         per selection GAR at d = 1e4, n up to 1000:
-//                         off vs exact vs approx wall-clock, the pruned-pair
-//                         fraction, allocations, exact-mode bit-identity and
-//                         the approx error envelope docs/AGGREGATORS.md
-//                         cites.  A "lowdim" committee (1-D latent line plus
-//                         jitter — the shape the bounds resolve) and an
-//                         "iid" control row, whose near-zero fraction is the
-//                         documented graceful-degradation case.
+//   prune_sweep           sketch distances (math/sketch.hpp) per selection
+//                         GAR at d = 1e4, n up to 1000: prune = off vs
+//                         approx wall-clock, approx allocations and the
+//                         approx error envelope docs/AGGREGATORS.md cites,
+//                         on a "lowdim" committee (1-D latent line plus
+//                         jitter) and an "iid" control row.
 //   pipeline_depth_sweep  the round engine's slot ring (core/pipeline.hpp)
 //                         at n = 50, d = 1e4, depth k in {0, 1, 2, 4}:
 //                         per-step wall-clock, the fill-wait / fill-busy /
@@ -70,7 +67,6 @@
 #include "aggregation/aggregator.hpp"
 #include "aggregation/hierarchical.hpp"
 #include "aggregation/mda.hpp"
-#include "aggregation/pruned_oracle.hpp"
 #include "aggregation/reference_gars.hpp"
 #include "core/experiment.hpp"
 #include "core/trainer.hpp"
@@ -263,12 +259,10 @@ std::vector<Vector> make_gradients(size_t n, size_t d, uint64_t seed) {
 /// live on a 1-D latent line through R^d (z ~ N(0, 1) along a fixed unit
 /// direction) plus tiny isotropic jitter (sigma = 1e-4, so the batch is
 /// *near* rank-1, not degenerate), and the f Byzantine rows sit far out
-/// along the same line (z = 50 + i).  This is the dominant-gradient-
-/// direction shape the certified bounds resolve — the pivot distances
-/// recover |z_i − z_j| almost exactly, so nearly every candidate is
-/// eliminated without a d-wide kernel call.  Byzantine rows come last so
-/// MDA's in-index-order branch-and-bound meets the honest subset first
-/// (row order never changes any GAR's output, only DFS wall-clock).
+/// along the same line (z = 50 + i) — the dominant-gradient-direction
+/// shape.  Byzantine rows come last so MDA's in-index-order
+/// branch-and-bound meets the honest subset first (row order never
+/// changes any GAR's output, only DFS wall-clock).
 std::vector<Vector> make_lowdim_gradients(size_t n, size_t f, size_t d, uint64_t seed) {
   Rng rng(seed);
   Vector dir = rng.normal_vector(d, 1.0);
@@ -450,17 +444,15 @@ void fast_math_sweep(Report& report, const Options& opt) {
   report.section("fast_math_sweep", rows);
 }
 
-// ---- prune sweep: certified distance pruning under the selection GARs ------
-// d = 1e4 throughout; n climbs to 1000 for krum (>= 3x in exact mode) and
-// bulyan (whose theta = n − 2f winner rows must all be exactly scored, so
-// its fraction is structurally capped near 1 − (theta/n)² — reported,
-// not hidden).  MDA stops at n = 50: on this near-tied lowdim geometry
-// its branch-and-bound subset search explodes past ~10 s/call already at
+// ---- prune sweep: sketch distances under the selection GARs ---------------
+// d = 1e4 throughout; n climbs to 1000 for krum and bulyan, where the
+// O(n²·d) matrix dominates and the sketch's O(n·d·k + n²·k) pays most.
+// MDA stops at n = 50: on this near-tied lowdim geometry its
+// branch-and-bound subset search explodes past ~10 s/call already at
 // n = 200 (the DFS, not the distance matrix, dominates — the regime
 // mda_greedy and the tree exist for), and a tracked bench should stay
-// rerunnable.  mda_greedy and multi-krum (which must exactly score its
-// m = n − f selected rows, capping its win structurally) stay at
-// n <= 200 to keep the full run under budget.
+// rerunnable.  mda_greedy and multi-krum stay at n <= 200 to keep the
+// full run under budget.
 
 /// Largest admissible f per selection rule at this n (MDA/MdaGreedy keep
 /// the small f = 2 of the main sweep: their cost is the subset search,
@@ -519,7 +511,7 @@ double rel_l2_err(const Vector& got, const Vector& want) {
 }
 
 void prune_sweep(Report& report, const Options& opt) {
-  dpbyz::table::banner("distance pruning: off vs exact vs approx");
+  dpbyz::table::banner("sketch distances: prune = off vs approx");
   const size_t d = 10000;
   struct PruneCell {
     std::string gar, geometry;
@@ -546,57 +538,29 @@ void prune_sweep(Report& report, const Options& opt) {
     const size_t m = cell.gar == "multi-krum" ? n - f : 0;
 
     const auto off = dpbyz::make_aggregator(cell.gar, n, f);
-    const auto exact = dpbyz::make_aggregator(cell.gar, n, f, dpbyz::PruneMode::kExact);
     const auto approx = dpbyz::make_aggregator(cell.gar, n, f, dpbyz::PruneMode::kApprox);
-    dpbyz::AggregatorWorkspace ws_off, ws_exact, ws_approx;
+    dpbyz::AggregatorWorkspace ws_off, ws_approx;
 
     const Vector off_out = to_vector(off->aggregate(batch, ws_off));
     const auto off_sel = selected_set(cell.gar, batch, ws_off, off_out, m);
     const double off_s = time_call([&] { off->aggregate(batch, ws_off); }, opt.budget_s);
 
-    // Exact mode: warm, read the (deterministic) pruned-pair fraction off
-    // the oracle, check bit-identity, prove the steady state
-    // allocation-free, then time.
-    const bool exact_identical = to_vector(exact->aggregate(batch, ws_exact)) == off_out;
-    const double pruned_fraction =
-        1.0 - static_cast<double>(ws_exact.oracle.exact_pairs()) /
-                  static_cast<double>(ws_exact.oracle.total_pairs());
-    const size_t exact_allocs = count_allocs([&] { exact->aggregate(batch, ws_exact); });
-    const double exact_s =
-        time_call([&] { exact->aggregate(batch, ws_exact); }, opt.budget_s);
-
-    // Approx mode: same drill, plus the error envelope against off.
+    // Approx mode: warm, record the error envelope against off, prove the
+    // steady state allocation-free, then time.  No wall-clock gate.
     const Vector approx_out = to_vector(approx->aggregate(batch, ws_approx));
     const auto approx_sel = selected_set(cell.gar, batch, ws_approx, approx_out, m);
     const size_t approx_allocs = count_allocs([&] { approx->aggregate(batch, ws_approx); });
     const double approx_s =
         time_call([&] { approx->aggregate(batch, ws_approx); }, opt.budget_s);
 
-    // Exact mode must stay invisible (bit-identical, allocation-free in
-    // both pruned modes), and the lowdim krum rows must actually prune —
-    // the pair count is deterministic per (generator seed, geometry), so
-    // a collapsed fraction means a bound or visit-order regression, not
-    // machine noise.  No wall-clock gate.
     const std::string where = cell.gar + " n=" + std::to_string(n);
-    gate(exact_identical,
-         "prune=exact " + where + " (" + cell.geometry + ") diverged from prune=off");
-    gate(exact_allocs == 0, "prune=exact " + where + ": " + std::to_string(exact_allocs) +
-                                " allocs after warmup");
     gate(approx_allocs == 0, "prune=approx " + where + ": " +
                                  std::to_string(approx_allocs) + " allocs after warmup");
-    gate(cell.geometry != "lowdim" || cell.gar != "krum" || pruned_fraction >= 0.5,
-         "prune=exact " + where + ": pruned-pair fraction " +
-             std::to_string(pruned_fraction) +
-             " collapsed below 0.5 on low-intrinsic-dimension data");
     rows.push_back({str("gar", cell.gar), str("geometry", cell.geometry), num("n", n),
                     num("d", d), num("f", f), real("off_ms", off_s * 1e3),
-                    real("exact_ms", exact_s * 1e3), real("approx_ms", approx_s * 1e3),
-                    real("speedup_exact", off_s / exact_s, "%.3f"),
+                    real("approx_ms", approx_s * 1e3),
                     real("speedup_approx", off_s / approx_s, "%.3f"),
-                    real("pruned_pair_fraction", pruned_fraction, "%.4f"),
-                    num("exact_allocs_after_warmup", exact_allocs),
                     num("approx_allocs_after_warmup", approx_allocs),
-                    flag("exact_bit_identical", exact_identical),
                     real("approx_selection_disagreement",
                          selection_disagreement(off_sel, approx_sel), "%.4f"),
                     real("approx_aggregate_rel_err", rel_l2_err(approx_out, off_out), "%.3e")});

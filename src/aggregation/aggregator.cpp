@@ -65,10 +65,30 @@ void Aggregator::validate_inputs(std::span<const Vector> gradients) const {
   }
 }
 
+void selection_dist_sq(const GradientBatch& batch, PruneMode prune, AggregatorWorkspace& ws) {
+  const size_t count = batch.rows();
+  ws.dist_sq.resize(count * count);
+  if (prune == PruneMode::kApprox) {
+    ws.sketch.fill_dist_sq(batch, ws.dist_sq);
+  } else {
+    pairwise_dist_sq(batch, ws.dist_sq);
+  }
+}
+
 std::vector<std::string> aggregator_names() {
   return {"average", "krum",       "multi-krum", "mda", "mda_greedy",
           "median",  "trimmed-mean", "bulyan",   "meamed", "phocas",
           "cge",     "geometric-median"};
+}
+
+PruneMode parse_prune_mode(const std::string& s) {
+  if (s == "off") return PruneMode::kOff;
+  if (s == "approx") return PruneMode::kApprox;
+  throw std::invalid_argument("parse_prune_mode: prune must be off|approx, got '" + s + "'");
+}
+
+const char* prune_mode_name(PruneMode mode) {
+  return mode == PruneMode::kApprox ? "approx" : "off";
 }
 
 std::unique_ptr<Aggregator> make_aggregator(const std::string& name, size_t n, size_t f,

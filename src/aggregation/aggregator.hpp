@@ -36,6 +36,19 @@
 
 namespace dpbyz {
 
+/// The ExperimentConfig::prune knob, parsed: how the selection GARs get
+/// their pairwise distances.
+enum class PruneMode {
+  kOff,     ///< the exact pairwise_dist_sq matrix (default, golden-pinned)
+  kApprox,  ///< JL sketch distances replace it (measured envelope)
+};
+
+/// Parse "off" / "approx"; throws std::invalid_argument otherwise.
+PruneMode parse_prune_mode(const std::string& s);
+
+/// Inverse of parse_prune_mode.
+const char* prune_mode_name(PruneMode mode);
+
 /// Deterministic gradient aggregation rule for a fixed (n, f).
 class Aggregator {
  public:
@@ -98,6 +111,11 @@ class Aggregator {
   size_t f_;
 };
 
+/// The selection GARs' distance matrix: resizes ws.dist_sq to n*n and
+/// fills it with pairwise_dist_sq (prune = off) or with the sketch's
+/// approximate squared distances (prune = approx).
+void selection_dist_sq(const GradientBatch& batch, PruneMode prune, AggregatorWorkspace& ws);
+
 /// Names accepted by make_aggregator.
 std::vector<std::string> aggregator_names();
 
@@ -106,8 +124,8 @@ std::vector<std::string> aggregator_names();
 /// "cge", "geometric-median"} — the list aggregator_names() returns, catalogued
 /// with budgets/complexities/citations in docs/AGGREGATORS.md.  Throws
 /// std::invalid_argument for unknown names or inadmissible (n, f).
-/// `prune` selects the distance-pruning mode of the selection GARs
-/// (krum, multi-krum, mda, mda_greedy, bulyan — see pruned_oracle.hpp);
+/// `prune` selects where the selection GARs (krum, multi-krum, mda,
+/// mda_greedy, bulyan) get their pairwise distances (see math/sketch.hpp);
 /// the other rules consume no pairwise distances and ignore it.
 /// (The multi-level HierarchicalAggregator is constructed directly — it
 /// needs inner/merge names and a (levels, branch) shape; see

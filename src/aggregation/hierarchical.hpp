@@ -14,8 +14,8 @@
 //                └─ every internal node: merge GAR at (B, its merge_f)
 //
 // (L = 1, B = 1) is bit-identical to the flat rule, and the L = 1 outputs
-// are hexfloat-pinned in tests/test_hierarchical.cpp (adversarial ties,
-// prune = exact and threaded dispatch included).  The flat path
+// are hexfloat-pinned in tests/test_hierarchical.cpp (adversarial ties
+// and threaded dispatch included).  The flat path
 // (tree_levels = 0 in ExperimentConfig) is untouched.
 //
 // Edges (optional): with a net::LinkConfig, every child aggregate

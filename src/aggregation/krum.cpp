@@ -1,7 +1,6 @@
 #include "aggregation/krum.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
 #include "aggregation/kf_table.hpp"
@@ -26,41 +25,6 @@ double nearest_neighbour_sum(std::vector<double>& row, size_t len, size_t neighb
                    row.begin() + static_cast<std::ptrdiff_t>(len));
   return std::accumulate(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(neighbours),
                          0.0);
-}
-
-/// Lower/upper bound on the Krum score of pool member i: the sum of the
-/// `neighbours` smallest per-pair squared-distance bounds, deflated
-/// (lower) or inflated (upper) so FP accumulation rounding cannot cross
-/// the exact-path score it brackets.  Validity: per-pair lb_sq <= the
-/// exact matrix entry, and the sum of the k smallest of a pointwise-
-/// smaller multiset is <= the sum of the k smallest of the larger one.
-double krum_score_bound(PrunedDistanceOracle& oracle, std::span<const size_t> active,
-                        size_t i, size_t neighbours, std::vector<double>& tmp,
-                        bool lower) {
-  const size_t count = active.size();
-  tmp.resize(count - 1);
-  size_t k = 0;
-  for (size_t j = 0; j < count; ++j) {
-    if (j == i) continue;
-    tmp[k++] = lower ? oracle.lb_sq(active[i], active[j])
-                     : oracle.ub_sq(active[i], active[j]);
-  }
-  const double s = nearest_neighbour_sum(tmp, k, neighbours);
-  return lower ? PrunedDistanceOracle::deflate(s) : PrunedDistanceOracle::inflate(s);
-}
-
-/// Exact seed-procedure score of pool member i from the oracle's lazy
-/// cache: the pool-ordered exact-distance row fed through the same
-/// nth_element + accumulate as krum_scores_from_matrix, so the resulting
-/// double is bit-identical to the full-matrix path.
-double krum_score_exact(PrunedDistanceOracle& oracle, std::span<const size_t> active,
-                        size_t i, size_t neighbours, std::vector<double>& scratch_row) {
-  const size_t count = active.size();
-  scratch_row.resize(count - 1);
-  size_t k = 0;
-  for (size_t j = 0; j < count; ++j)
-    if (j != i) scratch_row[k++] = oracle.exact_sq(active[i], active[j]);
-  return nearest_neighbour_sum(scratch_row, k, neighbours);
 }
 
 }  // namespace
@@ -146,133 +110,9 @@ size_t Krum::select(std::span<const Vector> gradients) const {
   return krum_argmin(gradients, scores(gradients));
 }
 
-size_t krum_argmin_pruned(const GradientBatch& batch, PrunedDistanceOracle& oracle,
-                          std::span<const size_t> active, size_t f,
-                          std::vector<double>& scratch_row, bool sketch_rank) {
-  const size_t count = active.size();
-  require(count >= 2, "krum_argmin_pruned: need at least two gradients");
-  const size_t neighbours = neighbourhood(count, f);
-
-  // Per-member certified score lower bound (prunes) and a rank score
-  // that orders evaluation — an estimate, never trusted for correctness.
-  // sketch_rank=true ranks by JL-sketch scores (best ordering, costs
-  // O(count²·k)); false reuses the lower bounds as the rank, which
-  // repeated callers (Bulyan's rounds) prefer.
-  auto& lb = oracle.scr_lb;
-  auto& rank = oracle.scr_rank;
-  auto& tmp = oracle.scr_tmp;
-  lb.resize(count);
-  rank.resize(count);
-  for (size_t i = 0; i < count; ++i) {
-    lb[i] = krum_score_bound(oracle, active, i, neighbours, tmp, /*lower=*/true);
-    if (sketch_rank) {
-      tmp.resize(count - 1);
-      size_t k = 0;
-      for (size_t j = 0; j < count; ++j)
-        if (j != i) tmp[k++] = oracle.approx_sq(active[i], active[j]);
-      rank[i] = nearest_neighbour_sum(tmp, k, neighbours);
-    } else {
-      rank[i] = lb[i];
-    }
-  }
-
-  auto& order = oracle.scr_order;
-  order.resize(count);
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&rank](size_t a, size_t b) {
-    if (rank[a] != rank[b]) return rank[a] < rank[b];
-    return a < b;  // deterministic tie-break
-  });
-
-  // Visit by rank; a member whose certified lower bound exceeds the
-  // incumbent exact score can never win (a *tied* lower bound still gets
-  // evaluated: it could tie exactly and win on lex/position).  The winner
-  // is the min under (score, row-lex, pool position) — exactly what the
-  // seed's first-min scan over pool positions keeps.
-  double best_score = std::numeric_limits<double>::infinity();
-  size_t best = count;
-  for (size_t pos : order) {
-    if (lb[pos] > best_score) continue;
-    const double s = krum_score_exact(oracle, active, pos, neighbours, scratch_row);
-    if (best == count || s < best_score) {
-      best = pos;
-      best_score = s;
-      continue;
-    }
-    if (s == best_score) {
-      const auto rp = batch.row(active[pos]);
-      const auto rb = batch.row(active[best]);
-      if (vec::lex_less(rp, rb) || (!vec::lex_less(rb, rp) && pos < best)) best = pos;
-    }
-  }
-  check_internal(best != count, "krum_argmin_pruned: no winner");
-  return best;
-}
-
-void multi_krum_select_pruned(const GradientBatch& batch, PrunedDistanceOracle& oracle,
-                              size_t f, size_t m, std::vector<size_t>& out,
-                              std::vector<double>& scratch_row) {
-  const size_t count = batch.rows();
-  require(count >= 2, "multi_krum_select_pruned: need at least two gradients");
-  require(m >= 1 && m <= count, "multi_krum_select_pruned: bad selection size");
-  const size_t neighbours = neighbourhood(count, f);
-  oracle.scr_order.resize(count);
-  std::iota(oracle.scr_order.begin(), oracle.scr_order.end(), size_t{0});
-  const std::span<const size_t> pool(oracle.scr_order.data(), count);
-
-  auto& lb = oracle.scr_lb;
-  auto& ub = oracle.scr_ub;
-  auto& tmp = oracle.scr_tmp;
-  lb.resize(count);
-  ub.resize(count);
-  for (size_t i = 0; i < count; ++i) {
-    lb[i] = krum_score_bound(oracle, pool, i, neighbours, tmp, /*lower=*/true);
-    ub[i] = krum_score_bound(oracle, pool, i, neighbours, tmp, /*lower=*/false);
-  }
-
-  // tau = m-th smallest upper bound.  Every truly-selected row has
-  // score <= (m-th smallest score) <= tau, and lb <= score, so
-  // {i : lb[i] <= tau} covers the selected set — including every
-  // boundary tie.  At least the m rows realising tau's order statistic
-  // are candidates, so the cut below is always well-defined.
-  auto& srt = oracle.scr_rank;
-  srt.assign(ub.begin(), ub.end());
-  std::nth_element(srt.begin(), srt.begin() + static_cast<std::ptrdiff_t>(m - 1),
-                   srt.end());
-  const double tau = srt[m - 1];
-
-  auto& cand = oracle.scr_cand;
-  cand.clear();
-  for (size_t i = 0; i < count; ++i)
-    if (lb[i] <= tau) cand.push_back(i);
-  check_internal(cand.size() >= m, "multi_krum_select_pruned: candidate cover too small");
-
-  // Exact seed-procedure scores for candidates only (stored over lb —
-  // the bounds are spent).  Sorting by (score, row-lex, index) and
-  // cutting at m reproduces the seed partial_sort's first-m as a value
-  // sequence: distinct (score, lex) keys order identically, and rows
-  // tied on both compare equal element-wise, so whichever copy lands in
-  // the cut contributes the same addends to the mean.
-  auto& score = lb;
-  for (size_t i : cand)
-    score[i] = krum_score_exact(oracle, pool, i, neighbours, scratch_row);
-  std::sort(cand.begin(), cand.end(), [&score, &batch](size_t a, size_t b) {
-    if (score[a] != score[b]) return score[a] < score[b];
-    if (vec::lex_less(batch.row(a), batch.row(b))) return true;
-    if (vec::lex_less(batch.row(b), batch.row(a))) return false;
-    return a < b;  // deterministic tie-break
-  });
-  out.assign(cand.begin(), cand.begin() + static_cast<std::ptrdiff_t>(m));
-}
-
 size_t Krum::score_batch(const GradientBatch& batch, AggregatorWorkspace& ws) const {
   const size_t count = batch.rows();
-  ws.dist_sq.resize(count * count);
-  if (prune_ == PruneMode::kApprox) {
-    ws.oracle.fill_approx(batch, ws.dist_sq);
-  } else {
-    pairwise_dist_sq(batch, ws.dist_sq);
-  }
+  selection_dist_sq(batch, prune_, ws);
   ws.active.resize(count);
   std::iota(ws.active.begin(), ws.active.end(), size_t{0});
   ws.scores.resize(count);
@@ -281,14 +121,6 @@ size_t Krum::score_batch(const GradientBatch& batch, AggregatorWorkspace& ws) co
 }
 
 void Krum::aggregate_into(const GradientBatch& batch, AggregatorWorkspace& ws) const {
-  if (prune_ == PruneMode::kExact) {
-    ws.oracle.prepare(batch);
-    ws.active.resize(batch.rows());
-    std::iota(ws.active.begin(), ws.active.end(), size_t{0});
-    const size_t best = krum_argmin_pruned(batch, ws.oracle, ws.active, f(), ws.row);
-    vec::copy(batch.row(best), ws.output);
-    return;
-  }
   score_batch(batch, ws);
   const size_t best = krum_argmin_view(batch, ws.active, ws.scores);
   vec::copy(batch.row(best), ws.output);
@@ -300,12 +132,6 @@ MultiKrum::MultiKrum(size_t n, size_t f, PruneMode prune) : Krum(n, f, prune) {}
 
 void MultiKrum::aggregate_into(const GradientBatch& batch, AggregatorWorkspace& ws) const {
   const size_t m = n() - f();
-  if (prune() == PruneMode::kExact) {
-    ws.oracle.prepare(batch);
-    multi_krum_select_pruned(batch, ws.oracle, f(), m, ws.order, ws.row);
-    mean_rows_of_into(batch, std::span<const size_t>(ws.order.data(), m), ws.output);
-    return;
-  }
   const size_t count = score_batch(batch, ws);
   ws.order.resize(count);
   std::iota(ws.order.begin(), ws.order.end(), size_t{0});

@@ -96,12 +96,6 @@ class MdaGreedy final : public Aggregator {
   void aggregate_into(const GradientBatch& batch, AggregatorWorkspace& ws) const override;
 
  private:
-  /// prune=exact local search: identical swap decisions and subset, with
-  /// every diameter computed as a certified bounded max over the oracle
-  /// (exact distances only for pairs whose upper bound reaches the
-  /// incumbent lower bound).
-  void select_subset_pruned(const GradientBatch& batch, AggregatorWorkspace& ws) const;
-
   PruneMode prune_;
 };
 

@@ -24,7 +24,7 @@
 #include <utility>
 #include <vector>
 
-#include "aggregation/pruned_oracle.hpp"
+#include "math/sketch.hpp"
 #include "math/vector_ops.hpp"
 
 namespace dpbyz {
@@ -52,11 +52,10 @@ struct AggregatorWorkspace {
   Vector output;
   /// Length-d vector scratch (Weiszfeld numerator).
   Vector scratch_d;
-  /// Distance bounds + lazy exact cache for the pruned selection paths
-  /// (prune=exact / prune=approx).  Its buffers are sized by
-  /// oracle.prepare(), NOT by reserve() below, so prune=off aggregations
-  /// never pay the oracle's O(n²) memory.
-  PrunedDistanceOracle oracle;
+  /// JL sketch behind the prune=approx distance matrix.  Its buffers are
+  /// sized by sketch.fill_dist_sq(), NOT by reserve() below, so prune=off
+  /// aggregations never pay the sketch's O(d·k) sign table.
+  BatchSketch sketch;
 
   /// Grow every buffer's capacity to what an (n, d) aggregation can need.
   /// Never shrinks; calling again with smaller extents is a no-op.

@@ -37,8 +37,7 @@ void ExperimentConfig::validate() const {
       require(epsilon > 0, "config: epsilon must be positive");
     }
   }
-  require(prune == "off" || prune == "exact" || prune == "approx",
-          "config: prune must be off|exact|approx");
+  require(prune == "off" || prune == "approx", "config: prune must be off|approx");
   if (tree_levels > 0) {
     require(tree_branch >= 1, "config: tree_branch must be >= 1 when tree_levels > 0");
   } else {

@@ -188,8 +188,8 @@ void scale_fast(double* a, double s, size_t n);
 
 /// sum_i (a_i - b_i)^2 as the seed's loop: one accumulator, ascending i.
 /// Independent of the math mode — the single-pair reference every
-/// pairwise entry is bit-identical to (vec::dist_sq's scalar path and
-/// the pruning oracle's exact distances use it).
+/// pairwise entry is bit-identical to (vec::dist_sq's scalar path uses
+/// it).
 double dist_sq_scalar(const double* a, const double* b, size_t n);
 
 /// Destination rows per pairwise block: one SIMD lane each.

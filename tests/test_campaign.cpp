@@ -141,6 +141,17 @@ TEST(CampaignGrid, InadmissibleCombinationsBecomeSkipReasons) {
   EXPECT_EQ(skipped, 6u);
 }
 
+TEST(CampaignGrid, RetiredPruneExactBecomesSkipReason) {
+  GridSpec spec = small_spec();
+  spec.prune = {"exact"};
+  const auto cells = expand_grid(spec);
+  ASSERT_FALSE(cells.empty());
+  for (const auto& cell : cells) {
+    EXPECT_FALSE(cell.admissible()) << cell.id;
+    EXPECT_EQ(cell.skip_reason, "config: prune must be off|approx") << cell.id;
+  }
+}
+
 TEST(CampaignGrid, ParsesTopologyAndParticipationAxes) {
   GridSpec spec = small_spec();
   spec.gars = {"mda"};

@@ -1,5 +1,5 @@
 // Tests for the recursive HierarchicalAggregator: hexfloat-pinned L = 1
-// outputs (incl. adversarial ties, prune = exact and threading), B = 1
+// outputs (incl. adversarial ties and threading), B = 1
 // bit-identity with the flat rules, the framed-but-ideal wire, recursive
 // budget derivation, admissibility failures naming the node path,
 // resilience under concentrated and spread Byzantine rows, the weighted
@@ -149,14 +149,11 @@ void expect_l1_matches_pins(const std::vector<PinnedAggregate>& pins, bool dupli
   ASSERT_EQ(pins.size(), names.size());
   for (size_t i = 0; i < names.size(); ++i) {
     ASSERT_EQ(pins[i].gar, names[i]);
-    for (const PruneMode prune : {PruneMode::kOff, PruneMode::kExact}) {
-      for (const size_t threads : {1, 4}) {
-        const HierarchicalAggregator tree(names[i], "median", 21, 2, /*levels=*/1,
-                                          /*branch=*/3, threads, prune);
-        EXPECT_EQ(aggregate_with(tree, batch), pins[i].want)
-            << "L=1 tree " << names[i] << " diverged from its pin (threads " << threads
-            << ", prune " << (prune == PruneMode::kExact ? "exact" : "off") << ")";
-      }
+    for (const size_t threads : {1, 4}) {
+      const HierarchicalAggregator tree(names[i], "median", 21, 2, /*levels=*/1,
+                                        /*branch=*/3, threads);
+      EXPECT_EQ(aggregate_with(tree, batch), pins[i].want)
+          << "L=1 tree " << names[i] << " diverged from its pin (threads " << threads << ")";
     }
   }
 }
