@@ -35,8 +35,8 @@
 //                         accuracy/loss, min loss, steps-to-min), plus the
 //                         Theorem-1 quadratic's excess loss per depth.
 //   tree_sweep            flat vs tree (L = 2, B = 8) per GAR at n in
-//                         {50, 200, 1000} (inadmissible and intractable
-//                         cells recorded with their reasons), and the
+//                         {50, 200, 1000} (inadmissible cells recorded
+//                         with their reasons), and the
 //                         tree(L = 1, B = 1)-vs-flat and framed-vs-in-memory
 //                         bit-identity gates.
 //   wire_sweep            per wire mode: encode/decode time, bytes per
@@ -290,8 +290,8 @@ Vector run_reference(const std::string& gar, std::span<const Vector> g, size_t n
   throw std::invalid_argument("run_reference: unknown GAR '" + gar + "'");
 }
 
-/// Largest admissible f per rule at this n (MDA capped so the exact
-/// subset search stays tractable across the whole sweep).
+/// Largest admissible f per rule at this n (MDA at f = 2, so the seed's
+/// subset enumeration it is checked against stays tractable at n = 50).
 size_t pick_f(const std::string& gar, size_t n) {
   if (gar == "average") return 0;
   if (gar == "krum") return (n - 3) / 2;
@@ -300,10 +300,16 @@ size_t pick_f(const std::string& gar, size_t n) {
   return 0;
 }
 
-/// Whether the main and fast-math sweeps measure `gar` at (n, f).
+/// Whether the main and fast-math sweeps measure `gar` at (n, f); the
+/// rule's constructor is the admissibility check.
 bool swept(const std::string& gar, size_t n, size_t f) {
   if (gar != "average" && f == 0) return false;
-  return gar != "mda" || dpbyz::Mda::subset_count(n, f) <= dpbyz::Mda::kMaxSubsets;
+  try {
+    dpbyz::make_aggregator(gar, n, f);
+    return true;
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
 }
 
 const std::vector<std::string> kGars{"average", "krum", "mda", "bulyan"};
@@ -401,7 +407,7 @@ void fast_math_sweep(Report& report, const Options& opt) {
   std::vector<Row> rows;
   for (const auto& gar : kGars) {
     const size_t f = pick_f(gar, n);
-    if (!swept(gar, n, f)) continue;  // same tractability skip as the main sweep
+    if (!swept(gar, n, f)) continue;  // same admissibility skip as the main sweep
     for (size_t d : ds) {
       const GradientBatch batch = GradientBatch::from_vectors(make_gradients(n, d, 42));
       const auto agg = dpbyz::make_aggregator(gar, n, f);
@@ -447,16 +453,11 @@ void fast_math_sweep(Report& report, const Options& opt) {
 // ---- prune sweep: sketch distances under the selection GARs ---------------
 // d = 1e4 throughout; n climbs to 1000 for krum and bulyan, where the
 // O(n²·d) matrix dominates and the sketch's O(n·d·k + n²·k) pays most.
-// MDA stops at n = 50: on this near-tied lowdim geometry its
-// branch-and-bound subset search explodes past ~10 s/call already at
-// n = 200 (the DFS, not the distance matrix, dominates — the regime
-// mda_greedy and the tree exist for), and a tracked bench should stay
-// rerunnable.  mda_greedy and multi-krum stay at n <= 200 to keep the
-// full run under budget.
+// MDA, mda_greedy and multi-krum stay at n <= 200 to keep the full run
+// under budget.
 
 /// Largest admissible f per selection rule at this n (MDA/MdaGreedy keep
-/// the small f = 2 of the main sweep: their cost is the subset search,
-/// not the Byzantine count).
+/// the small f = 2 of the main sweep; exact MDA grows like 2^f).
 size_t pick_prune_f(const std::string& gar, size_t n) {
   if (gar == "krum" || gar == "multi-krum") return (n - 3) / 2;
   if (gar == "bulyan") return (n - 3) / 4;
@@ -521,7 +522,6 @@ void prune_sweep(Report& report, const Options& opt) {
   for (const std::string gar : {"krum", "multi-krum", "mda", "mda_greedy", "bulyan"}) {
     for (size_t n : {size_t{50}, size_t{200}, size_t{1000}}) {
       if (opt.fast && n > 50) continue;
-      if (gar == "mda" && n > 50) continue;
       if (n == 1000 && gar != "krum" && gar != "bulyan") continue;
       cells.push_back({gar, "lowdim", n});
     }
@@ -749,10 +749,7 @@ void staleness_sweep(Report& report, const Options& opt) {
 // the robust rules, f = 0 for average.  Cells whose derived per-level
 // budget is inadmissible — (L=2, B=8) needs 64 non-empty leaves, and
 // 3-row leaves cannot host krum at f_child = 1 — are recorded with the
-// constructor's own message, not silently dropped; same for the flat-MDA
-// cells whose subset search is intractable at large n (the regime the
-// prune sweep documents — trees keep the MDA leaves small, which is
-// exactly the point of the comparison).
+// constructor's own message, not silently dropped.
 
 void tree_sweep(Report& report, const Options& opt) {
   dpbyz::table::banner("flat vs tree(L=2,B=8), d = 1e3");
@@ -787,14 +784,7 @@ void tree_sweep(Report& report, const Options& opt) {
         }
         rows.push_back(std::move(row));
       };
-      measure("flat", [&] {
-        // Constructible (C(n, 2) subsets is under the cap) but the
-        // branch-and-bound wall-clock is the prune sweep's documented
-        // blow-up regime; a tracked bench stays rerunnable.
-        if (gar == "mda" && n > 50)
-          throw std::invalid_argument("flat MDA subset search intractable at this n");
-        return dpbyz::make_aggregator(gar, n, f);
-      });
+      measure("flat", [&] { return dpbyz::make_aggregator(gar, n, f); });
       measure("tree(L=2,B=8)", [&] {
         return std::make_unique<dpbyz::HierarchicalAggregator>(gar, "median", n, f, 2, 8);
       });

@@ -10,17 +10,26 @@
 // the largest VN ratio upper bounds among known (alpha, f)-Byzantine
 // resilient GARs" (§5.1), k_F = (n - f) / (sqrt(8) f).
 //
-// Complexity: exact subset search is combinatorial.  We enumerate the
-// C(n, n-f) subsets with a branch-and-bound on the running diameter —
-// exact and fast for the committee sizes of this paper (n = 11: 462
-// subsets).  Construction refuses instances whose subset count exceeds
-// a safety cap, pointing users to Multi-Krum for very large n.
+// Complexity: a kept set has diameter <= D exactly when the f excluded
+// rows touch every pair farther apart than D, so the search looks for a
+// size-f vertex cover of the far-pair graph, not through the C(n, f)
+// subsets.  Stage 1 takes as incumbent the row whose (n-f-1)-th nearest
+// neighbour is closest, kept with those neighbours (diameter ub), and
+// applies Buss's kernel rule to the pairs farther apart than ub: a row
+// with more such pairs than the exclusion budget left must go.  When that
+// forces f rows out, their complement is the only set within ub and the
+// call returns in O(n²).  Otherwise stage 2 sorts the at most f·n pairs
+// a node can reach, farthest first, and walks the bounded search tree
+// below the forced rows: branch on the farthest uncovered pair, exclude
+// one end or the other, depth <= f and at most 2^(f+1) - 1 nodes.  Construction refuses f > kMaxF (about 2e6
+// nodes), pointing users to Multi-Krum.  Both stages read the same
+// square-rooted doubles the seed's subset enumeration compared and do no
+// arithmetic on them, so the selected subset — the lexicographically
+// first of minimum diameter — and its mean are bit-identical to it.
 //
-// The hot path fills the workspace's shared squared-distance matrix,
-// square-roots it in place, and runs the branch-and-bound on the exact
-// true-distance doubles the seed implementation compared (comparing
-// squared values instead would diverge on the rare ties that sqrt
-// rounding creates).
+// The hot path fills the workspace's shared squared-distance matrix and
+// square-roots it in place (comparing squared values instead would
+// diverge on the rare ties that sqrt rounding creates).
 #pragma once
 
 #include "aggregation/aggregator.hpp"
@@ -29,7 +38,7 @@ namespace dpbyz {
 
 class Mda final : public Aggregator {
  public:
-  /// Requires 1 <= f and n >= 2f + 1, and C(n, f) within the search cap.
+  /// Requires 1 <= f <= kMaxF and n >= 2f + 1.
   Mda(size_t n, size_t f, PruneMode prune = PruneMode::kOff);
 
   std::string name() const override { return "mda"; }
@@ -42,11 +51,9 @@ class Mda final : public Aggregator {
   /// subset in ws.selected (ascending index order).
   void select_subset_view(const GradientBatch& batch, AggregatorWorkspace& ws) const;
 
-  /// Number of subsets the exact search would enumerate for (n, f).
-  static double subset_count(size_t n, size_t f);
-
-  /// Enumeration cap used by the constructor.
-  static constexpr double kMaxSubsets = 5e6;
+  /// Largest f the constructor accepts: the search tree has at most
+  /// 2^(f+1) - 1 nodes.
+  static constexpr size_t kMaxF = 20;
 
  protected:
   void aggregate_into(const GradientBatch& batch, AggregatorWorkspace& ws) const override;
@@ -55,8 +62,8 @@ class Mda final : public Aggregator {
   PruneMode prune_;
 };
 
-/// Greedy/approximate MDA for committee sizes beyond the exact search's
-/// C(n, f) <= 5e6 cap (factory name "mda_greedy").
+/// Greedy/approximate MDA for budgets beyond the exact search's f <= 20
+/// cap (factory name "mda_greedy").
 ///
 /// Seed subset: the n - f gradients nearest the coordinate-wise median —
 /// a robust centre that at most f outliers cannot drag far.  Local
@@ -74,10 +81,10 @@ class Mda final : public Aggregator {
 /// swaps are scanned in (evictee, admittee) index order, and only
 /// strictly-improving swaps are taken.  Complexity: O(n²d) for the
 /// distance matrix plus O((n-f)³ + (n-f)²f) per swap pass — polynomial
-/// where the exact search is combinatorial.
+/// where the exact search is exponential in f.
 class MdaGreedy final : public Aggregator {
  public:
-  /// Requires 1 <= f and n >= 2f + 1 (no subset-count cap).
+  /// Requires 1 <= f and n >= 2f + 1 (no cap on f).
   MdaGreedy(size_t n, size_t f, PruneMode prune = PruneMode::kOff);
 
   std::string name() const override { return "mda_greedy"; }

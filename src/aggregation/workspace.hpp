@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -28,6 +29,12 @@
 #include "math/vector_ops.hpp"
 
 namespace dpbyz {
+
+/// One pair i < j of the distance matrix with its distance.
+struct RowPair {
+  double dist;
+  uint32_t i, j;
+};
 
 struct AggregatorWorkspace {
   /// Shared pairwise squared-distance matrix, n*n row-major.
@@ -46,8 +53,14 @@ struct AggregatorWorkspace {
   std::vector<size_t> order;
   /// Selection output (MDA subset, Bulyan selection, ...).
   std::vector<size_t> selected;
-  /// Shrinking candidate pool (Bulyan) / DFS path (MDA).
+  /// Shrinking candidate pool (Bulyan) / per-row far-pair degrees (MDA).
   std::vector<size_t> active;
+  /// MDA's pair list: the i < j pairs its search can reach, the prefix it
+  /// walks sorted farthest first.
+  std::vector<RowPair> pairs;
+  /// Per-row exclusion masks (1 = excluded) of MDA's cover search: the
+  /// node being visited, its padded candidate, and the best so far.
+  std::vector<uint8_t> excluded, candidate, best_excluded;
   /// The aggregate itself; aggregate() returns a view of this.
   Vector output;
   /// Length-d vector scratch (Weiszfeld numerator).
@@ -69,6 +82,10 @@ struct AggregatorWorkspace {
     order.reserve(n);
     selected.reserve(n);
     active.reserve(n);
+    pairs.reserve(n * (n - 1) / 2);
+    excluded.reserve(n);
+    candidate.reserve(n);
+    best_excluded.reserve(n);
     output.reserve(d);
     scratch_d.reserve(d);
   }

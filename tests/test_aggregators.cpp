@@ -88,11 +88,6 @@ TEST(Mda, SelectsTheTightCluster) {
   EXPECT_NEAR(out[0], 1.0, 0.05);
 }
 
-TEST(Mda, SubsetCountFormula) {
-  EXPECT_DOUBLE_EQ(Mda::subset_count(11, 5), 462.0);
-  EXPECT_DOUBLE_EQ(Mda::subset_count(5, 1), 5.0);
-}
-
 TEST(Mda, AdmissibilityBoundary) {
   EXPECT_NO_THROW(Mda(3, 1));  // n = 2f + 1
   EXPECT_THROW(Mda(2, 1), std::invalid_argument);
@@ -100,17 +95,22 @@ TEST(Mda, AdmissibilityBoundary) {
 }
 
 TEST(Mda, RefusesCombinatorialExplosion) {
-  // C(101, 50) is astronomically above the search cap; the constructor
-  // must refuse instead of hanging.
-  EXPECT_GT(Mda::subset_count(101, 50), Mda::kMaxSubsets);
+  // f = 50 is far above the search's f <= 20 cap; the constructor must
+  // refuse instead of hanging.
   EXPECT_THROW(Mda(101, 50), std::invalid_argument);
-  // Near the cap it must still accept: C(25, 12) ~ 5.2e6 > cap,
-  // C(23, 11) ~ 1.35e6 < cap.
   EXPECT_NO_THROW(Mda(23, 11));
 }
 
+TEST(Mda, ExclusionCapBoundary) {
+  // The search tree has at most 2^(f+1) - 1 nodes: f = kMaxF is the
+  // largest budget accepted, at any n.
+  EXPECT_NO_THROW(Mda(2 * Mda::kMaxF + 1, Mda::kMaxF));
+  EXPECT_NO_THROW(Mda(1000, Mda::kMaxF));
+  EXPECT_THROW(Mda(2 * Mda::kMaxF + 3, Mda::kMaxF + 1), std::invalid_argument);
+}
+
 TEST(MdaGreedy, AdmissibleBeyondTheExactCap) {
-  // The motivating case: C(101, 50) explodes the exact search; the
+  // The motivating case: f = 50 is beyond the exact search's cap; the
   // greedy variant constructs fine and still filters the outliers.
   EXPECT_THROW(Mda(101, 50), std::invalid_argument);
   EXPECT_NO_THROW(MdaGreedy(101, 50));

@@ -14,9 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <new>
 
+#include "aggregation/mda.hpp"
 #include "core/server.hpp"
 #include "core/worker.hpp"
 #include "data/synthetic.hpp"
@@ -111,6 +113,49 @@ TEST(AllocationFree, SteadyStatePruneApproxIsAllocationFree) {
   const NoNoise mech;
   EXPECT_EQ(steady_state_allocs("krum", mech, 3, 2, PruneMode::kApprox), 0u);
   EXPECT_EQ(steady_state_allocs("mda", mech, 3, 2, PruneMode::kApprox), 0u);
+}
+
+/// n Gaussian rows; with `alie`, the last f are one identical row at
+/// mean - 1.5 sigma of the rest ("a little is enough").
+GradientBatch mda_batch(size_t n, size_t f, size_t d, bool alie) {
+  Rng rng(n + (alie ? 1000 : 0));
+  GradientBatch batch(n, d);
+  for (size_t i = 0; i < n; ++i)
+    for (double& x : batch.row(i)) x = rng.normal();
+  if (alie)
+    for (size_t c = 0; c < d; ++c) {
+      double mean = 0.0, sq = 0.0;
+      for (size_t i = 0; i < n - f; ++i) {
+        mean += batch.row(i)[c];
+        sq += batch.row(i)[c] * batch.row(i)[c];
+      }
+      mean /= static_cast<double>(n - f);
+      const double sd = std::sqrt(sq / static_cast<double>(n - f) - mean * mean);
+      for (size_t i = n - f; i < n; ++i) batch.row(i)[c] = mean - 1.5 * sd;
+    }
+  return batch;
+}
+
+TEST(AllocationFree, MdaSearchIsAllocationFreeAcrossShapesAndRowCounts) {
+  // A direct Mda call at n = 50, f = 2: Gaussian rows reach the search
+  // tree, ALIE rows are settled by the root's kernel rule; then n' = 40
+  // rows on the same workspace, as a partial-participation round does.
+  const size_t d = 64;
+  const Mda wide(50, 2), narrow(40, 2);
+  const GradientBatch gaussian = mda_batch(50, 2, d, false);
+  const GradientBatch alie = mda_batch(50, 2, d, true);
+  const GradientBatch fewer = mda_batch(40, 2, d, false);
+  AggregatorWorkspace ws;
+  wide.aggregate(gaussian, ws);  // warm-up at the largest shape
+
+  g_alloc_count.store(0);
+  g_count_allocs.store(true);
+  wide.aggregate(gaussian, ws);
+  wide.aggregate(alie, ws);
+  narrow.aggregate(fewer, ws);
+  wide.aggregate(gaussian, ws);
+  g_count_allocs.store(false);
+  EXPECT_EQ(g_alloc_count.load(), 0u);
 }
 
 TEST(AllocationFree, WorkerMomentumPathIsAllocationFreeToo) {
