@@ -76,9 +76,9 @@ void selection_dist_sq(const GradientBatch& batch, PruneMode prune, AggregatorWo
 }
 
 std::vector<std::string> aggregator_names() {
-  return {"average", "krum",       "multi-krum", "mda", "mda_greedy",
-          "median",  "trimmed-mean", "bulyan",   "meamed", "phocas",
-          "cge",     "geometric-median"};
+  return {"average", "krum",         "multi-krum", "mda",    "median",
+          "trimmed-mean", "bulyan", "meamed", "phocas", "cge",
+          "geometric-median"};
 }
 
 PruneMode parse_prune_mode(const std::string& s) {
@@ -97,7 +97,6 @@ std::unique_ptr<Aggregator> make_aggregator(const std::string& name, size_t n, s
   if (name == "krum") return std::make_unique<Krum>(n, f, prune);
   if (name == "multi-krum") return std::make_unique<MultiKrum>(n, f, prune);
   if (name == "mda") return std::make_unique<Mda>(n, f, prune);
-  if (name == "mda_greedy") return std::make_unique<MdaGreedy>(n, f, prune);
   if (name == "median") return std::make_unique<CoordinateMedian>(n, f);
   if (name == "trimmed-mean") return std::make_unique<TrimmedMean>(n, f);
   if (name == "bulyan") return std::make_unique<Bulyan>(n, f, prune);

@@ -18,8 +18,8 @@
 //     aggregate call on the same workspace;
 //   * implementations are permutation-invariant in the batch rows and
 //     bit-identical to the seed std::span<const Vector> implementations
-//     (preserved in aggregation/reference_gars.hpp and enforced by the
-//     golden tests).
+//     (preserved in the test-support library, tests/support/reference_gars.hpp,
+//     and enforced by the golden tests).
 // The std::span<const Vector> overload is the legacy convenience path: it
 // packs the vectors into a temporary batch and forwards — correct but
 // allocating, for tests and cold call sites only.
@@ -93,7 +93,8 @@ class Aggregator {
   ///     past the call;
   ///   * output must be permutation-invariant in the batch rows and
   ///     bit-identical to the seed implementation preserved in
-  ///     reference_gars.{hpp,cpp} (enforced by tests/test_gar_golden).
+  ///     tests/support/reference_gars.{hpp,cpp} (enforced by
+  ///     tests/test_gar_golden).
   virtual void aggregate_into(const GradientBatch& batch,
                               AggregatorWorkspace& ws) const = 0;
 
@@ -119,13 +120,13 @@ void selection_dist_sq(const GradientBatch& batch, PruneMode prune, AggregatorWo
 /// Names accepted by make_aggregator.
 std::vector<std::string> aggregator_names();
 
-/// Factory: name in {"average", "krum", "multi-krum", "mda",
-/// "mda_greedy", "median", "trimmed-mean", "bulyan", "meamed", "phocas",
-/// "cge", "geometric-median"} — the list aggregator_names() returns, catalogued
+/// Factory: name in {"average", "krum", "multi-krum", "mda", "median",
+/// "trimmed-mean", "bulyan", "meamed", "phocas", "cge",
+/// "geometric-median"} — the list aggregator_names() returns, catalogued
 /// with budgets/complexities/citations in docs/AGGREGATORS.md.  Throws
 /// std::invalid_argument for unknown names or inadmissible (n, f).
 /// `prune` selects where the selection GARs (krum, multi-krum, mda,
-/// mda_greedy, bulyan) get their pairwise distances (see math/sketch.hpp);
+/// bulyan) get their pairwise distances (see math/sketch.hpp);
 /// the other rules consume no pairwise distances and ignore it.
 /// (The multi-level HierarchicalAggregator is constructed directly — it
 /// needs inner/merge names and a (levels, branch) shape; see

@@ -62,48 +62,4 @@ class Mda final : public Aggregator {
   PruneMode prune_;
 };
 
-/// Greedy/approximate MDA for budgets beyond the exact search's f <= 20
-/// cap (factory name "mda_greedy").
-///
-/// Seed subset: the n - f gradients nearest the coordinate-wise median —
-/// a robust centre that at most f outliers cannot drag far.  Local
-/// search: steepest-descent swaps (evict one member, admit one outsider)
-/// as long as a swap strictly shrinks the subset diameter.  The result
-/// is the average of a locally-minimal-diameter subset: not guaranteed
-/// to match the exact MDA optimum, but every accepted swap only shrinks
-/// the diameter below the seed subset's, and the honest-majority
-/// argument that bounds MDA's output error needs only a diameter no
-/// larger than the honest cluster's — which the *exact* minimum
-/// guarantees and the greedy minimum merely approaches.  No published
-/// VN-ratio constant, so vn_threshold() is NaN (docs/AGGREGATORS.md).
-///
-/// Deterministic: ties in the seed ordering break by index, candidate
-/// swaps are scanned in (evictee, admittee) index order, and only
-/// strictly-improving swaps are taken.  Complexity: O(n²d) for the
-/// distance matrix plus O((n-f)³ + (n-f)²f) per swap pass — polynomial
-/// where the exact search is exponential in f.
-class MdaGreedy final : public Aggregator {
- public:
-  /// Requires 1 <= f and n >= 2f + 1 (no cap on f).
-  MdaGreedy(size_t n, size_t f, PruneMode prune = PruneMode::kOff);
-
-  std::string name() const override { return "mda_greedy"; }
-
-  /// Hot-path subset selection: fills ws.dist_sq (square-rooted in
-  /// place, like Mda) and leaves the chosen subset in ws.selected
-  /// (ascending index order).  Exposed for tests.
-  void select_subset_view(const GradientBatch& batch, AggregatorWorkspace& ws) const;
-
-  /// Diameter (true distance) of `subset` under the square-rooted
-  /// matrix left in ws.dist_sq by select_subset_view; test helper.
-  static double subset_diameter(std::span<const double> dist, size_t n,
-                                std::span<const size_t> subset);
-
- protected:
-  void aggregate_into(const GradientBatch& batch, AggregatorWorkspace& ws) const override;
-
- private:
-  PruneMode prune_;
-};
-
 }  // namespace dpbyz

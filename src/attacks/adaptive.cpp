@@ -186,8 +186,7 @@ void MimicBoundary::load_state(std::istream& is) {
 }
 
 bool MimicBoundary::can_probe(const std::string& gar) {
-  return gar == "krum" || gar == "multi-krum" || gar == "bulyan" || gar == "mda" ||
-         gar == "mda_greedy";
+  return gar == "krum" || gar == "multi-krum" || gar == "bulyan" || gar == "mda";
 }
 
 bool MimicBoundary::survives(const AttackContext& ctx, double alpha) const {
@@ -198,18 +197,13 @@ bool MimicBoundary::survives(const AttackContext& ctx, double alpha) const {
   for (size_t r = rows; r < n; ++r) template_row(mean_, alpha, dir_, cand.row(r));
   ++evals_;
 
-  if (spec_.gar == "mda" || spec_.gar == "mda_greedy") {
+  if (spec_.gar == "mda") {
     // Diameter probe: is a forged row a member of the minimum-diameter
     // subset?  (The forged copies are interchangeable, so membership of
     // any one of them means the forged point made the cut.)
-    const Aggregator* shadow = shadow_for(n, f);
-    if (const auto* mda = dynamic_cast<const Mda*>(shadow)) {
-      mda->select_subset_view(cand, ws_);
-    } else if (const auto* greedy = dynamic_cast<const MdaGreedy*>(shadow)) {
-      greedy->select_subset_view(cand, ws_);
-    } else {
-      return false;  // shadow inadmissible — caller already fell back
-    }
+    const auto* mda = dynamic_cast<const Mda*>(shadow_for(n, f));
+    if (mda == nullptr) return false;  // shadow inadmissible — caller already fell back
+    mda->select_subset_view(cand, ws_);
     for (size_t idx : ws_.selected)
       if (idx >= rows) return true;
     return false;
@@ -255,9 +249,8 @@ void MimicBoundary::forge_into(const AttackContext& ctx, Rng&,
   }
 
   const size_t n_round = rows + f;
-  const bool mda_family = spec_.gar == "mda" || spec_.gar == "mda_greedy";
   const bool probeable = f > 0 && can_probe(spec_.gar) &&
-                         (!mda_family || shadow_for(n_round, f) != nullptr) &&
+                         (spec_.gar != "mda" || shadow_for(n_round, f) != nullptr) &&
                          n_round > 2 * f;  // krum-rank criterion needs n > 2f
   if (!probeable) {
     // No selection boundary to probe: degrade to the topology-calibrated

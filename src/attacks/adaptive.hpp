@@ -28,7 +28,7 @@
 //     offset alpha of  mean - alpha * sigma  between "still selected"
 //     and "filtered", probing survival through the same workspace APIs
 //     the server uses: krum-score ranking (krum / multi-krum / bulyan)
-//     or MDA subset membership (mda / mda_greedy).  Non-selection GARs
+//     or MDA subset membership (mda).  Non-selection GARs
 //     have no boundary to probe; the attack degrades to the
 //     topology-calibrated ALIE factor (see docs/AGGREGATORS.md for the
 //     per-GAR support matrix).

@@ -61,24 +61,9 @@ void ExperimentConfig::validate() const {
   require(pipeline_depth <= kMaxPipelineDepth,
           "config: pipeline_depth must be in [0, " +
               std::to_string(kMaxPipelineDepth) + "]");
-  require(straggler_policy == "off" || straggler_policy == "adaptive",
-          "config: straggler_policy must be off|adaptive");
-  if (straggler_policy == "adaptive") {
-    require(straggler_ema_alpha > 0 && straggler_ema_alpha <= 1,
-            "config: straggler_ema_alpha must be in (0,1]");
-    require(straggler_timeout_factor >= 1.0,
-            "config: straggler_timeout_factor must be >= 1");
-  }
-  if (!straggler_replay.empty()) {
-    require(straggler_policy == "adaptive",
-            "config: straggler_replay requires straggler_policy == 'adaptive'");
-    for (const StragglerDecision& d : straggler_replay) {
-      require(d.round >= 1 && d.round <= steps,
-              "config: straggler_replay round out of [1, steps]");
-      require(d.worker < num_workers,
-              "config: straggler_replay worker index out of range");
-    }
-  }
+  require(straggler_policy == "off",
+          "config: straggler_policy must be off (adaptive straggler control was "
+          "removed; model late workers with participation=stragglers)");
   require(participation == "full" || participation == "iid" ||
               participation == "stragglers",
           "config: participation must be full|iid|stragglers");
@@ -102,9 +87,6 @@ void ExperimentConfig::validate() const {
     require(data_partition == "shared",
             "config: churn requires data_partition == 'shared' (a joiner has "
             "no pre-assigned shard)");
-    require(straggler_policy == "off",
-            "config: churn requires straggler_policy == 'off' (clock-driven "
-            "skips have no stable worker identity across epochs)");
     require(reputation == "distance" || reputation == "off",
             "config: reputation must be distance|off");
     require(reputation_beta > 0 && reputation_beta <= 1,
@@ -119,9 +101,6 @@ void ExperimentConfig::validate() const {
   if (!checkpoint_path.empty()) {
     require(checkpoint_every >= 1,
             "config: checkpoint_path requires checkpoint_every >= 1");
-    require(straggler_policy == "off",
-            "config: checkpointing requires straggler_policy == 'off' (wall-"
-            "clock skip decisions cannot be restored across processes)");
     require(channel == "off",
             "config: checkpointing requires channel == 'off' (per-edge channel "
             "streams live inside the aggregators and are not captured)");
@@ -145,8 +124,6 @@ std::string ExperimentConfig::label() const {
   if (channel != "off") out += "+chan";
   if (threads != 1) out += "+T" + std::to_string(threads);
   if (pipeline_depth > 0) out += "+p" + std::to_string(pipeline_depth);
-  if (straggler_policy == "adaptive")
-    out += straggler_replay.empty() ? "+strag" : "+strag(replay)";
   if (churn != "off")
     out += "+churn(E=" + std::to_string(churn_epoch_rounds) +
            ",cs=" + std::to_string(churn_seed) + ")";

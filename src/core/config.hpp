@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace dpbyz {
 
@@ -18,18 +17,6 @@ namespace dpbyz {
 /// The engine keeps depth + 1 arenas of n x d doubles alive, so the cap
 /// is a memory guard, not an algorithmic limit.
 inline constexpr size_t kMaxPipelineDepth = 8;
-
-/// One adaptive-straggler skip: honest worker `worker` was excluded from
-/// (1-based) round `round` by the straggler controller.  A run's applied
-/// decisions are recorded in RunResult::straggler_trace; feeding that
-/// trace back through ExperimentConfig::straggler_replay reproduces the
-/// run bit-for-bit (the controller applies the trace instead of the
-/// clock).
-struct StragglerDecision {
-  uint32_t round = 0;   ///< 1-based round the skip applied to
-  uint32_t worker = 0;  ///< honest-worker index skipped
-  friend bool operator==(const StragglerDecision&, const StragglerDecision&) = default;
-};
 
 struct ExperimentConfig {
   // --- topology -----------------------------------------------------------
@@ -104,32 +91,10 @@ struct ExperimentConfig {
   ///       across `threads` settings (rounds fill in order on one agent;
   ///       only wall-clock changes with k).  Range: [0, kMaxPipelineDepth].
   size_t pipeline_depth = 0;
-  /// Adaptive straggler control for the round engine (see
-  /// docs/ARCHITECTURE.md, "Round pipeline"):
-  ///   "off"      — the schedule alone decides liveness (default; every
-  ///                determinism guarantee above holds unconditionally).
-  ///   "adaptive" — the fill agent measures each live worker's fill
-  ///                latency, tracks a per-worker EMA, and a worker whose
-  ///                latency exceeds straggler_timeout_factor x its EMA
-  ///                is skipped for the next round (one round — it is
-  ///                retried immediately after, so the EMA can recover).
-  ///                Decisions are wall-clock-driven, hence NOT
-  ///                deterministic across runs; every applied skip is
-  ///                recorded in RunResult::straggler_trace, and feeding
-  ///                that trace back via `straggler_replay` replays the
-  ///                run bit-identically.
+  /// Must be "off" (validate() refuses anything else).  Late workers are
+  /// modelled by participation = "stragglers"; the field stays because
+  /// roundbench/src/compose.cpp's scope check still reads it.
   std::string straggler_policy = "off";
-  double straggler_ema_alpha = 0.3;      ///< EMA step for measured fill latency
-  double straggler_timeout_factor = 4.0; ///< skip when latency > factor x EMA
-  /// Observations of a worker before timeouts may fire (EMA warm-up).
-  size_t straggler_warmup_rounds = 5;
-  /// Non-empty = replay mode (requires straggler_policy == "adaptive"):
-  /// the controller applies exactly these recorded decisions instead of
-  /// consulting the clock, making the run a pure function of
-  /// (config, seed, trace).  Entries must name live workers of the
-  /// rounds they skip — i.e. come from a RunResult of the same
-  /// (config, seed) — or the run throws.
-  std::vector<StragglerDecision> straggler_replay;
   /// Opt-in fast math kernels for the single-vector reductions: dot,
   /// norm and single-pair distances (CGE norms, Weiszfeld, clipping,
   /// momentum axpy — see docs/ARCHITECTURE.md, "Math kernels").  The
@@ -178,8 +143,7 @@ struct ExperimentConfig {
   // --- robustness ----------------------------------------------------------
   std::string gar = "mda";
   /// Pairwise distances for the selection GARs (krum, multi-krum, mda,
-  /// mda_greedy, bulyan — see docs/ARCHITECTURE.md, "Approximate
-  /// distances").
+  /// bulyan — see docs/ARCHITECTURE.md, "Approximate distances").
   ///   "off"    — the full O(n²·d) exact pairwise matrix (default;
   ///              byte-for-byte the golden-pinned code path).
   ///   "approx" — Johnson–Lindenstrauss sketch distances replace the
@@ -286,7 +250,7 @@ struct ExperimentConfig {
   ///             configured f.  The run is a pure function of
   ///             (config, seed, churn_seed); the applied trace lands in
   ///             RunResult::churn_trace.  Requires data_partition ==
-  ///             "shared" and straggler_policy == "off".
+  ///             "shared".
   std::string churn = "off";
   size_t churn_epoch_rounds = 50;  ///< epoch length E in rounds
   uint64_t churn_seed = 1;         ///< root of the churn event stream
@@ -323,9 +287,8 @@ struct ExperimentConfig {
   /// barriers: the ring drains before the state is captured, in
   /// interrupted and uninterrupted runs alike, so a kill-and-restore
   /// trajectory is bit-identical to an unbroken one.  Requires
-  /// straggler_policy == "off" (clock-driven skips are not replayable
-  /// across processes) and channel == "off" (per-edge channel streams
-  /// live inside the aggregators and are not captured).
+  /// channel == "off" (per-edge channel streams live inside the
+  /// aggregators and are not captured).
   std::string checkpoint_path = "";
   size_t checkpoint_every = 0;    ///< rounds between checkpoints (>= 1 when on)
   bool checkpoint_resume = true;  ///< load checkpoint_path when it exists

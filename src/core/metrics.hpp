@@ -75,14 +75,6 @@ struct RunResult {
   /// First 1-based step at which train_loss came within 5% of its run
   /// minimum; 0 when the run never stabilized.
   size_t steps_to_min_loss = 0;
-  /// Straggler skips the adaptive controller applied, in (round, worker)
-  /// order; empty unless straggler_policy == "adaptive".  Feeding this
-  /// back as ExperimentConfig::straggler_replay reproduces the run
-  /// bit-identically (see core/straggler.hpp).
-  std::vector<StragglerDecision> straggler_trace;
-  /// Final per-honest-worker fill-latency EMA, seconds (empty unless the
-  /// controller was active).
-  std::vector<double> straggler_ema;
   /// Wire/channel counters summed over every tree edge of the run
   /// (all-zero unless tree_levels >= 1 with wire != "off").  A seeded
   /// lossy run reproduces these exactly along with its trajectory —

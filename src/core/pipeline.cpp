@@ -91,7 +91,6 @@ RoundPipeline::RoundPipeline(const ExperimentConfig& config,
       attack_rng_(std::move(attack_rng)),
       dropout_rng_(std::move(dropout_rng)),
       schedule_(std::move(schedule)),
-      straggler_(config, honest.size()),
       membership_(membership) {
   require(schedule_.honest_count() == honest_.size(),
           "RoundPipeline: schedule sized for a different worker count");
@@ -123,7 +122,6 @@ RoundPipeline::RoundPipeline(const ExperimentConfig& config,
   if (observe_clean_) clean_.reshape(honest_.size(), dim_);
   live_.reserve(honest_.size());
   live_idx_.reserve(honest_.size());
-  latency_.reserve(honest_.size());
   if (config_.pipeline_depth > 0)
     fill_thread_ = std::thread([this] { fill_thread_loop(); });
 }
@@ -147,8 +145,7 @@ void RoundPipeline::fill_into(Slot& slot, size_t t, const Vector& p) {
   // so the view is stable for the whole fill.
   const MembershipView* mv = membership_ != nullptr ? &membership_->view() : nullptr;
   const size_t roster = mv != nullptr ? mv->active.size() : honest_.size();
-  size_t live_count = schedule_.live_round(t, roster, live_);
-  live_count = straggler_.apply(t, live_, live_count);
+  const size_t live_count = schedule_.live_round(t, roster, live_);
   live_idx_.clear();
   for (size_t i = 0; i < roster; ++i)
     if (live_[i]) live_idx_.push_back(mv != nullptr ? mv->active[i] : i);
@@ -159,17 +156,9 @@ void RoundPipeline::fill_into(Slot& slot, size_t t, const Vector& p) {
   // Rows are disjoint and every worker owns private RNG streams and
   // buffers, so the threaded dispatch is bit-identical to the serial
   // loop (the loss reduction below runs in index order either way).
-  const bool measure = straggler_.active() && !straggler_.replaying();
-  if (measure) latency_.assign(live_count, 0.0);
   auto submit = [&](size_t k) {
     HonestWorker& worker = honest_[live_idx_[k]];
-    if (measure) {
-      Stopwatch lap;
-      worker.submit_into(p, slot.batch.row(k));
-      latency_[k] = lap.seconds();
-    } else {
-      worker.submit_into(p, slot.batch.row(k));
-    }
+    worker.submit_into(p, slot.batch.row(k));
     if (observe_clean_) clean_.set_row(k, worker.last_clean_gradient());
   };
   if (fill_threads_ != 1 && live_count > 1) {
@@ -231,15 +220,6 @@ void RoundPipeline::fill_into(Slot& slot, size_t t, const Vector& p) {
       if (dropout_rng_.bernoulli(config_.dropout_prob))
         vec::fill(slot.batch.row(k), 0.0);
   }
-
-  // Feed the straggler controller after the round's work is done:
-  // observations in ascending worker index, then the round close that
-  // schedules any round-(t+1) skips.
-  if (measure) {
-    for (size_t k = 0; k < live_count; ++k)
-      straggler_.observe(t, live_idx_[k], latency_[k]);
-  }
-  straggler_.finish_round(t);
 
   slot.rows = live_count + byz;
   slot.live_honest = live_count;

@@ -336,13 +336,6 @@ RunResult Trainer::run() {
     process_boundary(t);
   }
 
-  // The last acquire has happened, so the fill agent is quiescent and
-  // the straggler controller's state is safe to snapshot.
-  if (pipeline.straggler().active()) {
-    result.straggler_trace = pipeline.straggler().trace();
-    result.straggler_ema = pipeline.straggler().ema();
-  }
-
   // Channel accounting: the server's full-round tree (current and any
   // epoch-retired instances) plus every per-n' instance the engine
   // constructed (their counters are only written by the rounds that ran

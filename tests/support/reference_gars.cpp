@@ -1,7 +1,7 @@
 // Seed GAR implementations, kept as the bit-exact specification of the
 // view-based kernels.  See reference_gars.hpp for why these must not be
 // modernised.
-#include "aggregation/reference_gars.hpp"
+#include "reference_gars.hpp"
 
 #include <algorithm>
 #include <cmath>

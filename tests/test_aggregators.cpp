@@ -109,77 +109,6 @@ TEST(Mda, ExclusionCapBoundary) {
   EXPECT_THROW(Mda(2 * Mda::kMaxF + 3, Mda::kMaxF + 1), std::invalid_argument);
 }
 
-TEST(MdaGreedy, AdmissibleBeyondTheExactCap) {
-  // The motivating case: f = 50 is beyond the exact search's cap; the
-  // greedy variant constructs fine and still filters the outliers.
-  EXPECT_THROW(Mda(101, 50), std::invalid_argument);
-  EXPECT_NO_THROW(MdaGreedy(101, 50));
-  EXPECT_THROW(MdaGreedy(2, 1), std::invalid_argument);   // n < 2f + 1
-  EXPECT_THROW(MdaGreedy(4, 0), std::invalid_argument);   // f = 0
-  EXPECT_TRUE(std::isnan(MdaGreedy(101, 50).vn_threshold()));
-}
-
-TEST(MdaGreedy, ExcludesOutliersViaMedianSeed) {
-  MdaGreedy agg(11, 5);
-  auto g = cluster_plus_outlier(6, 5, 10.0);
-  const Vector out = agg.aggregate(g);
-  EXPECT_NEAR(out[0], 1.0, 0.05);
-  EXPECT_NEAR(out[1], 1.0, 0.05);
-}
-
-TEST(MdaGreedy, MatchesExactMdaOnEasyInstances) {
-  // With a tight honest cluster and far outliers the local search finds
-  // the global optimum — same subset, bit-identical mean.
-  Mda exact(11, 3);
-  MdaGreedy greedy(11, 3);
-  auto g = cluster_plus_outlier(8, 3, 50.0);
-  EXPECT_EQ(exact.aggregate(g), greedy.aggregate(g));
-}
-
-TEST(MdaGreedy, NeverWorseThanItsSeedSubsetAndDeterministic) {
-  // On a hard random instance the greedy diameter must be <= the
-  // coordinate-median-nearest seed subset's, and repeated runs (and
-  // workspace reuse) must agree exactly.
-  const size_t n = 31, f = 12, d = 9;
-  Rng rng(17);
-  std::vector<Vector> g;
-  for (size_t i = 0; i < n; ++i) g.push_back(rng.normal_vector(d, 1.0));
-  const GradientBatch batch = GradientBatch::from_vectors(g);
-
-  MdaGreedy agg(n, f);
-  AggregatorWorkspace ws;
-  agg.select_subset_view(batch, ws);
-  const std::vector<size_t> subset = ws.selected;
-  ASSERT_EQ(subset.size(), n - f);
-  const double greedy_diam = MdaGreedy::subset_diameter(ws.dist_sq, n, subset);
-
-  // Rebuild the seed subset (nearest the coordinate-wise median).
-  Vector median(d);
-  std::vector<double> column(n);
-  for (size_t c = 0; c < d; ++c) {
-    for (size_t i = 0; i < n; ++i) column[i] = g[i][c];
-    std::sort(column.begin(), column.end());
-    median[c] = n % 2 == 1 ? column[n / 2]
-                           : 0.5 * (column[n / 2 - 1] + column[n / 2]);
-  }
-  std::vector<size_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    const double da = vec::dist_sq(g[a], median), db = vec::dist_sq(g[b], median);
-    if (da != db) return da < db;
-    return a < b;
-  });
-  const std::vector<size_t> seed_subset(order.begin(), order.begin() + (n - f));
-  const double seed_diam = MdaGreedy::subset_diameter(ws.dist_sq, n, seed_subset);
-  EXPECT_LE(greedy_diam, seed_diam);
-
-  // Determinism across calls on a recycled workspace.
-  const Vector first = agg.aggregate(g);
-  agg.select_subset_view(batch, ws);
-  EXPECT_EQ(ws.selected, subset);
-  EXPECT_EQ(agg.aggregate(g), first);
-}
-
 TEST(Krum, ArgminTieBreaksLexicographically) {
   // Two identical scores: the lexicographically smaller vector wins,
   // regardless of position.

@@ -12,10 +12,11 @@
 #include "aggregation/bulyan.hpp"
 #include "aggregation/krum.hpp"
 #include "aggregation/mda.hpp"
-#include "aggregation/reference_gars.hpp"
 #include "math/gradient_batch.hpp"
 #include "math/rng.hpp"
 #include "math/statistics.hpp"
+
+#include "reference_gars.hpp"
 
 namespace dpbyz {
 namespace {
@@ -137,18 +138,8 @@ TEST_P(GarGoldenTest, WorkspaceReuseIsStateless) {
   EXPECT_EQ(first_copy, third_copy);
 }
 
-/// Every rule that has a seed implementation to pin against.  mda_greedy
-/// is new in this repo (the approximate large-n fallback, PR 4): there is
-/// no seed code to be bit-identical to; its own invariants live in
-/// tests/test_aggregators.cpp.
-std::vector<std::string> gars_with_seed_reference() {
-  auto names = aggregator_names();
-  std::erase(names, "mda_greedy");
-  return names;
-}
-
-INSTANTIATE_TEST_SUITE_P(AllGars, GarGoldenTest,
-                         ::testing::ValuesIn(gars_with_seed_reference()));
+// Every rule the factory knows has a seed implementation to pin against.
+INSTANTIATE_TEST_SUITE_P(AllGars, GarGoldenTest, ::testing::ValuesIn(aggregator_names()));
 
 TEST(GarGolden, KrumScoresReferenceMatchesMatrixPath) {
   // The free krum_scores function is the reference; the matrix path must

@@ -79,9 +79,6 @@ const std::vector<PinnedAggregate> kL1Random{
     {"mda",
      {0x1.3f07c3840e3fdp+1, 0x1.ae60687915b2p-4, -0x1.2f099b9f9fb5cp-2,
       0x1.8cbf41db7aa9p-3, -0x1.5ca0c33f3e4eap-5}},
-    {"mda_greedy",
-     {0x1.3f07c3840e3fdp+1, 0x1.ae60687915b2p-4, -0x1.2f099b9f9fb5cp-2,
-      0x1.8cbf41db7aa9p-3, -0x1.5ca0c33f3e4eap-5}},
     {"median",
      {0x1.2e09a70bf6189p+1, 0x1.0d5aae415b86ap-2, -0x1.2cd484e3a94a7p-5,
       -0x1.4279327211cbdp-3, -0x1.4e906fc0627e2p-2}},
@@ -115,9 +112,6 @@ const std::vector<PinnedAggregate> kL1Duplicates{
      {0x1.e2c6eb2a67876p+0, 0x1.52bef09ecee5p-2, -0x1.67fb5e5c792e8p-1,
       0x1.b4675763e452p-2, -0x1.4f8b0f90b1522p-5}},
     {"mda",
-     {0x1.4204c473b7695p+1, 0x1.d3df49e6992dap-4, -0x1.384b287e3ac9fp-1,
-      0x1.9518e6a9ebde5p-3, 0x1.05e02d78644b8p-2}},
-    {"mda_greedy",
      {0x1.4204c473b7695p+1, 0x1.d3df49e6992dap-4, -0x1.384b287e3ac9fp-1,
       0x1.9518e6a9ebde5p-3, 0x1.05e02d78644b8p-2}},
     {"median",

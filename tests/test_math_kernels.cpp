@@ -520,7 +520,6 @@ INSTANTIATE_TEST_SUITE_P(
                       FastGoldenCase{"mda", 11, 2, true},
                       FastGoldenCase{"bulyan", 11, 2, true},
                       FastGoldenCase{"cge", 11, 3, true},
-                      FastGoldenCase{"mda_greedy", 11, 2, true},
                       FastGoldenCase{"average", 11, 0, true},
                       FastGoldenCase{"geometric-median", 11, 3, false}));
 

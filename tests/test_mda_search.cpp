@@ -11,8 +11,9 @@
 #include <string>
 
 #include "aggregation/mda.hpp"
-#include "aggregation/reference_gars.hpp"
 #include "math/rng.hpp"
+
+#include "reference_gars.hpp"
 
 namespace dpbyz {
 namespace {

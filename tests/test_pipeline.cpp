@@ -361,20 +361,26 @@ TEST(RoundPipelineConfig, ValidationAndLabel) {
   c.pipeline_depth = kMaxPipelineDepth;
   EXPECT_NO_THROW(c.validate());
   c = ExperimentConfig{};
-  c.straggler_policy = "sometimes";
-  EXPECT_THROW(c.validate(), std::invalid_argument);
+  EXPECT_NO_THROW(c.validate());  // the defaults: straggler_policy "off"
+  for (const char* policy : {"adaptive", "sometimes"}) {
+    c.straggler_policy = policy;
+    try {
+      c.validate();
+      ADD_FAILURE() << "straggler_policy " << policy << " validated";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("config: straggler_policy must be off"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Churn and checkpointing carry no straggler clause of their own.
   c = ExperimentConfig{};
-  c.straggler_policy = "adaptive";
-  c.straggler_ema_alpha = 0.0;
-  EXPECT_THROW(c.validate(), std::invalid_argument);
-  c = ExperimentConfig{};
-  c.straggler_replay = {{1, 0}};  // replay requires the adaptive policy
-  EXPECT_THROW(c.validate(), std::invalid_argument);
-  c.straggler_policy = "adaptive";
+  c.churn = "epoch";
   EXPECT_NO_THROW(c.validate());
-  EXPECT_NE(c.label().find("+strag(replay)"), std::string::npos);
-  c.straggler_replay = {{0, 0}};  // round out of [1, steps]
-  EXPECT_THROW(c.validate(), std::invalid_argument);
+  c = ExperimentConfig{};
+  c.checkpoint_path = "run.ckpt";
+  c.checkpoint_every = 10;
+  EXPECT_NO_THROW(c.validate());
   c = ExperimentConfig{};
   c.participation = "sometimes";
   EXPECT_THROW(c.validate(), std::invalid_argument);

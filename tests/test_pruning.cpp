@@ -75,7 +75,7 @@ TEST(PruneSketch, SignTableMatchesHashDefinition) {
 TEST(PruneApprox, DeterministicAcrossCallsAndWorkspaces) {
   const auto inputs = random_rows(15, 65, 21);
   const GradientBatch batch = GradientBatch::from_vectors(inputs);
-  for (const char* name : {"krum", "multi-krum", "mda", "mda_greedy", "bulyan"}) {
+  for (const char* name : {"krum", "multi-krum", "mda", "bulyan"}) {
     const auto agg = make_aggregator(name, 15, 3, PruneMode::kApprox);
     AggregatorWorkspace ws1, ws2;
     const auto v1 = agg->aggregate(batch, ws1);
@@ -124,12 +124,10 @@ TEST(PruneApprox, ExcludesByzantineOnWellSeparatedCommittees) {
       if (out == rows[i]) is_honest_row = true;
     EXPECT_TRUE(is_honest_row) << "approx Krum picked a non-honest row";
   }
-  // MDA (exhaustive and greedy) selects an (n-f)-subset: the only one
-  // free of the far rows is the honest set itself, and the aggregate is
-  // its index-ordered mean — bit-identical to exact mode.
-  for (const char* name : {"mda", "mda_greedy"})
-    EXPECT_EQ(aggregate(name, PruneMode::kApprox), aggregate(name, PruneMode::kOff))
-        << name;
+  // MDA selects an (n-f)-subset: the only one free of the far rows is
+  // the honest set itself, and the aggregate is its index-ordered mean —
+  // bit-identical to exact mode.
+  EXPECT_EQ(aggregate("mda", PruneMode::kApprox), aggregate("mda", PruneMode::kOff));
   // MultiKrum averages the m = n - f lowest-score rows — the honest set
   // again, but its accumulation order follows the (approx) score sort,
   // so the mean agrees only up to reassociation ULPs.
