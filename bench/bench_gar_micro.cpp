@@ -1,7 +1,9 @@
 // bench_gar_micro — google-benchmark timings of every GAR.
 //
 // Supporting performance data: aggregation cost per server step as a
-// function of the committee size n and the model dimension d.  Useful to
+// function of the committee size n and the model dimension d.  Each
+// iteration times Aggregator::aggregate(batch, ws) on a warmed-up
+// workspace — the call the trainer makes every round.  Useful to
 // document that MDA's exact search is practical at the paper's n = 11.
 #include <benchmark/benchmark.h>
 
@@ -9,6 +11,7 @@
 #include <stdexcept>
 
 #include "aggregation/aggregator.hpp"
+#include "math/gradient_batch.hpp"
 #include "math/rng.hpp"
 
 namespace {
@@ -49,9 +52,11 @@ void run_gar(benchmark::State& state, const std::string& name) {
     state.SkipWithError("inadmissible (n, f)");
     return;
   }
-  const auto g = make_gradients(n, d, 1);
+  const dpbyz::GradientBatch batch = dpbyz::GradientBatch::from_vectors(make_gradients(n, d, 1));
+  dpbyz::AggregatorWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(agg->aggregate(g));
+    benchmark::DoNotOptimize(agg->aggregate(batch, ws).data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n * d));

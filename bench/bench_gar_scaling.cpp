@@ -3,7 +3,8 @@
 //
 //   main_sweep            (n, d) in {10, 25, 50} x {1e3, 1e4, 1e5} over
 //                         Krum / MDA / Bulyan / average, plus MDA at the
-//                         paper's n = 11, f = 5, d = 69: the view-based
+//                         paper's n = 11, f = 5, d = 69 over a cycle of 64
+//                         seeded batches: the view-based
 //                         batch kernel vs the seed implementation preserved
 //                         in tests/support/reference_gars, steady-state heap
 //                         allocations of one batch call (counted by
@@ -15,9 +16,8 @@
 //                         (50, 1e4) and (50, 1e5) without --fast: scalar vs
 //                         MathMode::kFast wall-clock, the max relative
 //                         deviation from the scalar aggregate, fast-mode
-//                         allocations, rerun determinism, and thread-width
-//                         bit-equality of the fast pairwise matrix.  The
-//                         JSON records the backend selected at runtime
+//                         allocations and rerun determinism.  The JSON
+//                         records the backend selected at runtime
 //                         ("avx2" / "unrolled8").
 //   prune_sweep           sketch distances (math/sketch.hpp) per selection
 //                         GAR at d = 1e4, n up to 1000: prune = off vs
@@ -326,49 +326,67 @@ void main_sweep(Report& report, const Options& opt) {
   if (opt.fast) ds.pop_back();
 
   std::vector<Row> rows;
-  auto measure = [&](const std::string& gar, size_t n, size_t d, size_t f) {
-    const auto gradients = make_gradients(n, d, 42);
-    const GradientBatch batch = GradientBatch::from_vectors(gradients);
+  // One cell: `batches` seeded inputs (seeds 42, 43, ...), every one
+  // gated for bit-identity and zero steady-state allocations; the timed
+  // call cycles through all of them, so batch_ms / seed_ms are per-call
+  // medians over the cycle rather than one input's.
+  auto measure = [&](const std::string& gar, size_t n, size_t d, size_t f, size_t batches) {
+    std::vector<std::vector<Vector>> inputs;
+    std::vector<GradientBatch> packed;
+    for (size_t b = 0; b < batches; ++b) {
+      inputs.push_back(make_gradients(n, d, 42 + b));
+      packed.push_back(GradientBatch::from_vectors(inputs.back()));
+    }
     const auto agg = dpbyz::make_aggregator(gar, n, f);
     dpbyz::AggregatorWorkspace ws;
 
     // Warm up the workspace, then prove the steady state is
-    // allocation-free.
-    agg->aggregate(batch, ws);
-    const size_t allocs = count_allocs([&] { agg->aggregate(batch, ws); });
-    const bool identical =
-        to_vector(agg->aggregate(batch, ws)) == run_reference(gar, gradients, n, f);
+    // allocation-free and bit-identical to the seed on every batch.
+    agg->aggregate(packed[0], ws);
+    size_t allocs = 0;
+    bool identical = true;
+    for (size_t b = 0; b < batches; ++b) {
+      allocs = std::max(allocs, count_allocs([&] { agg->aggregate(packed[b], ws); }));
+      if (to_vector(agg->aggregate(packed[b], ws)) != run_reference(gar, inputs[b], n, f))
+        identical = false;
+    }
 
-    const double new_s = time_call([&] { agg->aggregate(batch, ws); }, opt.budget_s);
+    const auto batch_cycle = [&] {
+      for (const GradientBatch& batch : packed) agg->aggregate(batch, ws);
+    };
     // The seed aggregate() validated finiteness/dimensions on every
-    // call (Aggregator::validate_inputs) before running the GAR, and
-    // the batch path above still does; include that cost on the
-    // reference side for a like-for-like comparison.
-    const double ref_s = time_call(
-        [&] {
-          for (const Vector& g : gradients)
-            if (g.size() != d || !dpbyz::vec::all_finite(g))
-              throw std::invalid_argument("malformed gradient");
-          run_reference(gar, gradients, n, f);
-        },
-        opt.budget_s);
+    // call before running the GAR, and the batch path above still does;
+    // include that cost on the reference side for a like-for-like
+    // comparison.
+    const auto seed_cycle = [&] {
+      for (const auto& gradients : inputs) {
+        for (const Vector& g : gradients)
+          if (g.size() != d || !dpbyz::vec::all_finite(g))
+            throw std::invalid_argument("malformed gradient");
+        run_reference(gar, gradients, n, f);
+      }
+    };
+    const double new_s = time_call(batch_cycle, opt.budget_s) / static_cast<double>(batches);
+    const double ref_s = time_call(seed_cycle, opt.budget_s) / static_cast<double>(batches);
 
     const std::string cell = gar + " n=" + std::to_string(n) + " d=" + std::to_string(d);
     gate(identical, cell + ": batch kernel diverged from the seed implementation");
     gate(allocs == 0, cell + ": " + std::to_string(allocs) + " allocs after warmup");
     rows.push_back({str("gar", gar), num("n", n), num("d", d), num("f", f),
-                    real("batch_ms", new_s * 1e3), real("seed_ms", ref_s * 1e3),
-                    real("speedup", ref_s / new_s, "%.3f"),
+                    num("batches", batches), real("batch_ms", new_s * 1e3),
+                    real("seed_ms", ref_s * 1e3), real("speedup", ref_s / new_s, "%.3f"),
                     num("allocs_after_warmup", allocs), flag("bit_identical", identical)});
   };
   for (const auto& gar : kGars)
     for (size_t n : {size_t{10}, size_t{25}, size_t{50}})
       for (size_t d : ds)
-        if (const size_t f = pick_f(gar, n); swept(gar, n, f)) measure(gar, n, d, f);
+        if (const size_t f = pick_f(gar, n); swept(gar, n, f)) measure(gar, n, d, f, 1);
   // The paper's DP-only MDA shape (Fig. 2: n = 11, f = 5, d = 69) on
   // i.i.d. Gaussian rows, where the exact search rarely settles at its
-  // root.  Its speedup is recorded, not gated.
-  measure("mda", 11, 69, 5);
+  // root and its cost varies from batch to batch: one batch is not a
+  // measurement, so this cell cycles over 64.  Its speedup is recorded,
+  // not gated.
+  measure("mda", 11, 69, 5, 64);
   report.section("results", rows);
 }
 
@@ -386,26 +404,7 @@ void fast_math_sweep(Report& report, const Options& opt) {
   std::vector<std::pair<size_t, size_t>> shapes{{11, 69}, {50, 10000}};
   if (!opt.fast) shapes.push_back({50, 100000});  // the large-d point
 
-  // Thread-width determinism of the fast pairwise kernel, probed at an
-  // extent that actually clears the parallel-dispatch threshold:
-  // 1225 * 16384 = 20.1M pair-coordinates > 2^24, so the threads = 4 call
-  // genuinely runs on the ThreadPool (the sweep's d = 1e4 point does not
-  // — 12.25M — and would compare the serial branch against itself).
-  // Runs under --fast too: this is the CI smoke's only threaded-fast-mode
-  // gate.
-  bool threads_identical = false;
-  {
-    const size_t n = 50;
-    const GradientBatch probe = GradientBatch::from_vectors(make_gradients(n, 16384, 42));
-    const dpbyz::kernels::MathModeScope scope(dpbyz::kernels::MathMode::kFast);
-    std::vector<double> pw_serial(n * n), pw_threaded(n * n);
-    dpbyz::pairwise_dist_sq(probe, pw_serial, 1);
-    dpbyz::pairwise_dist_sq(probe, pw_threaded, 4);
-    threads_identical = pw_serial == pw_threaded;
-  }
-  gate(threads_identical, "fast-math pairwise kernel drifts across thread widths");
   report.scalar(str("fast_math_backend", dpbyz::kernels::fast_backend()));
-  report.scalar(flag("fast_pairwise_threads_identical", threads_identical));
 
   // The fast-mode accuracy contract (kernels.hpp): end-to-end deviation
   // stays far inside 1e-8.

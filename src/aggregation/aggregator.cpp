@@ -32,16 +32,6 @@ std::span<const double> Aggregator::aggregate(const GradientBatch& batch,
   return ws.output;
 }
 
-Vector Aggregator::aggregate(std::span<const Vector> gradients) const {
-  // No validate_inputs here: from_vectors enforces equal dimensions and
-  // the forwarded aggregate() re-validates count/dim/finiteness, so a
-  // second full O(n*d) scan would buy nothing.
-  const GradientBatch batch = GradientBatch::from_vectors(gradients);
-  AggregatorWorkspace ws;
-  const auto view = aggregate(batch, ws);
-  return Vector(view.begin(), view.end());
-}
-
 void Aggregator::validate_batch(const GradientBatch& batch) const {
   if (batch.rows() != n_)  // message built lazily: this runs every step
     throw std::invalid_argument(
@@ -50,19 +40,6 @@ void Aggregator::validate_batch(const GradientBatch& batch) const {
   require(batch.all_finite(),
           "Aggregator::aggregate: non-finite gradient component (a real "
           "server drops such submissions as malformed)");
-}
-
-void Aggregator::validate_inputs(std::span<const Vector> gradients) const {
-  require(gradients.size() == n_,
-          "Aggregator::aggregate: expected exactly n gradients (name=" + name() + ")");
-  const size_t d = gradients[0].size();
-  require(d > 0, "Aggregator::aggregate: zero-dimensional gradients");
-  for (const Vector& g : gradients) {
-    require(g.size() == d, "Aggregator::aggregate: dimension mismatch across gradients");
-    require(vec::all_finite(g),
-            "Aggregator::aggregate: non-finite gradient component (a real "
-            "server drops such submissions as malformed)");
-  }
 }
 
 void selection_dist_sq(const GradientBatch& batch, PruneMode prune, AggregatorWorkspace& ws) {

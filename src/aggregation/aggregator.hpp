@@ -20,9 +20,8 @@
 //     bit-identical to the seed std::span<const Vector> implementations
 //     (preserved in the test-support library, tests/support/reference_gars.hpp,
 //     and enforced by the golden tests).
-// The std::span<const Vector> overload is the legacy convenience path: it
-// packs the vectors into a temporary batch and forwards — correct but
-// allocating, for tests and cold call sites only.
+// aggregate(batch, ws) is the only entry point: a caller holding owning
+// vectors packs them with GradientBatch::from_vectors first.
 #pragma once
 
 #include <memory>
@@ -60,10 +59,6 @@ class Aggregator {
   /// it.  Zero heap allocations once `ws` has warmed up at this (n, d).
   std::span<const double> aggregate(const GradientBatch& batch,
                                     AggregatorWorkspace& ws) const;
-
-  /// Legacy convenience: packs `gradients` into a temporary batch and
-  /// forwards to the view path (allocates; not for the hot loop).
-  Vector aggregate(std::span<const Vector> gradients) const;
 
   /// Short identifier ("krum", "mda", ...), stable across versions.
   virtual std::string name() const = 0;
@@ -103,9 +98,6 @@ class Aggregator {
   /// keep downstream arithmetic well-defined — a real server would drop
   /// such gradients as trivially malformed).
   void validate_batch(const GradientBatch& batch) const;
-
-  /// Legacy-path validation with the same rules, on owning vectors.
-  void validate_inputs(std::span<const Vector> gradients) const;
 
  private:
   size_t n_;

@@ -18,8 +18,8 @@ size_t neighbourhood(size_t count, size_t f) {
 }
 
 /// Sum of the `neighbours` smallest entries of row[0..len) (row is
-/// clobbered).  Shared by the reference and matrix paths so both sum in
-/// the exact same order.
+/// clobbered).  tests/support/reference_gars.cpp keeps a copy for the
+/// seed oracle: both must sum in the exact same order.
 double nearest_neighbour_sum(std::vector<double>& row, size_t len, size_t neighbours) {
   std::nth_element(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(neighbours - 1),
                    row.begin() + static_cast<std::ptrdiff_t>(len));
@@ -31,30 +31,6 @@ double nearest_neighbour_sum(std::vector<double>& row, size_t len, size_t neighb
 
 Krum::Krum(size_t n, size_t f, PruneMode prune) : Aggregator(n, f), prune_(prune) {
   require(n >= 2 * f + 3, "Krum: requires n >= 2f + 3");
-}
-
-std::vector<double> krum_scores(std::span<const Vector> gradients, size_t f) {
-  const size_t count = gradients.size();
-  require(count >= 2, "krum_scores: need at least two gradients");
-  const size_t neighbours = neighbourhood(count, f);
-
-  // Pairwise squared distances: one flat count*count buffer, each
-  // symmetric entry computed once.
-  std::vector<double> dist_sq(count * count, 0.0);
-  for (size_t i = 0; i < count; ++i)
-    for (size_t j = i + 1; j < count; ++j)
-      dist_sq[i * count + j] = dist_sq[j * count + i] =
-          vec::dist_sq(gradients[i], gradients[j]);
-
-  std::vector<double> out(count);
-  std::vector<double> row(count - 1);
-  for (size_t i = 0; i < count; ++i) {
-    size_t k = 0;
-    for (size_t j = 0; j < count; ++j)
-      if (j != i) row[k++] = dist_sq[i * count + j];
-    out[i] = nearest_neighbour_sum(row, k, neighbours);
-  }
-  return out;
 }
 
 void krum_scores_from_matrix(std::span<const double> dist_sq, size_t stride,
@@ -75,23 +51,6 @@ void krum_scores_from_matrix(std::span<const double> dist_sq, size_t stride,
   }
 }
 
-std::vector<double> Krum::scores(std::span<const Vector> gradients) const {
-  validate_inputs(gradients);
-  return krum_scores(gradients, f());
-}
-
-size_t krum_argmin(std::span<const Vector> gradients, const std::vector<double>& scores) {
-  require(gradients.size() == scores.size(), "krum_argmin: size mismatch");
-  size_t best = 0;
-  for (size_t i = 1; i < scores.size(); ++i) {
-    if (scores[i] < scores[best] ||
-        (scores[i] == scores[best] && gradients[i] < gradients[best])) {
-      best = i;
-    }
-  }
-  return best;
-}
-
 size_t krum_argmin_view(const GradientBatch& batch, std::span<const size_t> active,
                         std::span<const double> scores) {
   require(scores.size() >= active.size(), "krum_argmin_view: size mismatch");
@@ -104,10 +63,6 @@ size_t krum_argmin_view(const GradientBatch& batch, std::span<const size_t> acti
     }
   }
   return best;
-}
-
-size_t Krum::select(std::span<const Vector> gradients) const {
-  return krum_argmin(gradients, scores(gradients));
 }
 
 size_t Krum::score_batch(const GradientBatch& batch, AggregatorWorkspace& ws) const {
@@ -135,7 +90,7 @@ void MultiKrum::aggregate_into(const GradientBatch& batch, AggregatorWorkspace& 
   const size_t count = score_batch(batch, ws);
   ws.order.resize(count);
   std::iota(ws.order.begin(), ws.order.end(), size_t{0});
-  // Same lexicographic tie-break as krum_argmin, so the selected *set* is
+  // Same lexicographic tie-break as krum_argmin_view, so the selected *set* is
   // permutation-invariant even when scores tie at the cut boundary.
   const auto& s = ws.scores;
   std::partial_sort(ws.order.begin(), ws.order.begin() + static_cast<std::ptrdiff_t>(m),

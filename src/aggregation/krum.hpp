@@ -13,42 +13,34 @@
 // at least 1 and the majority argument needs 2f + 2 < n).
 //
 // The hot path scores gradients from the workspace's precomputed pairwise
-// squared-distance matrix (shared with MDA and Bulyan); the free
-// krum_scores function below recomputes distances from owning vectors and
-// serves as the reference implementation for the golden tests.
+// squared-distance matrix (shared with MDA and Bulyan); the seed scoring
+// over owning vectors, which recomputes the distances, is kept as the
+// golden tests' oracle in tests/support/reference_gars.hpp.
 #pragma once
 
 #include "aggregation/aggregator.hpp"
 
 namespace dpbyz {
 
-/// Krum scores for an arbitrary pool: each gradient's sum of squared
-/// distances to its `count - f - 2` nearest neighbours, with the
-/// neighbourhood clamped to [1, count-1] so shrunken pools (Bulyan's
-/// iterated selection) remain well-defined.  Reference implementation —
-/// allocates its own distance matrix.
-std::vector<double> krum_scores(std::span<const Vector> gradients, size_t f);
-
-/// Index of the minimum-score gradient, breaking exact score ties by
-/// lexicographic comparison of the gradient vectors.  Ties are not an
-/// edge case: with a 1-element neighbourhood, mutual nearest neighbours
-/// receive *identical* scores, and without a canonical tie-break the
-/// selection (hence Bulyan) would depend on input order, violating the
-/// permutation invariance a GAR must have.
-size_t krum_argmin(std::span<const Vector> gradients, const std::vector<double>& scores);
-
-/// Hot-path scoring over a candidate pool: `active` lists the batch rows
-/// that form the pool (in pool order) and `dist_sq` is the full n*n
-/// squared-distance matrix of the batch (n = stride).  Writes the score of
-/// every pool member into out_scores[0 .. active.size()), using
-/// scratch_row (capacity >= active.size() - 1) for the neighbour sums.
-/// Bit-identical to krum_scores on the corresponding vectors.
+/// Krum scores over a candidate pool: `active` lists the batch rows that
+/// form the pool (in pool order) and `dist_sq` is the full n*n
+/// squared-distance matrix of the batch (n = stride).  Writes each pool
+/// member's sum of squared distances to its `count - f - 2` nearest
+/// neighbours into out_scores[0 .. active.size()), with the neighbourhood
+/// clamped to [1, count-1] so shrunken pools (Bulyan's iterated
+/// selection) remain well-defined; scratch_row holds the neighbour sums.
+/// Bit-identical to the seed's scoring of the corresponding vectors
+/// (tests/support/reference_gars.hpp).
 void krum_scores_from_matrix(std::span<const double> dist_sq, size_t stride,
                              std::span<const size_t> active, size_t f,
                              std::span<double> out_scores, std::vector<double>& scratch_row);
 
-/// Position (within `active`) of the minimum-score pool member, with the
-/// same lexicographic tie-break as krum_argmin, comparing batch rows.
+/// Position (within `active`) of the minimum-score pool member, breaking
+/// exact score ties by lexicographic comparison of the batch rows.  Ties
+/// are not an edge case: with a 1-element neighbourhood, mutual nearest
+/// neighbours receive *identical* scores, and without a canonical
+/// tie-break the selection (hence Bulyan) would depend on input order,
+/// violating the permutation invariance a GAR must have.
 size_t krum_argmin_view(const GradientBatch& batch, std::span<const size_t> active,
                         std::span<const double> scores);
 
@@ -58,13 +50,6 @@ class Krum : public Aggregator {
 
   std::string name() const override { return "krum"; }
   double vn_threshold() const override;
-
-  /// Krum scores for each input (sum of sq. distances to the n-f-2
-  /// nearest neighbours); exposed for tests and for Bulyan's selection.
-  std::vector<double> scores(std::span<const Vector> gradients) const;
-
-  /// Index of the winning (minimum-score) gradient.
-  size_t select(std::span<const Vector> gradients) const;
 
  protected:
   void aggregate_into(const GradientBatch& batch, AggregatorWorkspace& ws) const override;

@@ -173,15 +173,6 @@ void Mda::select_subset_view(const GradientBatch& batch, AggregatorWorkspace& ws
   check_internal(ws.selected.size() == keep, "Mda: subset search failed");
 }
 
-std::vector<size_t> Mda::select_subset(std::span<const Vector> gradients) const {
-  validate_inputs(gradients);
-  const GradientBatch batch = GradientBatch::from_vectors(gradients);
-  AggregatorWorkspace ws;
-  ws.reserve(batch.rows(), batch.dim());
-  select_subset_view(batch, ws);
-  return ws.selected;
-}
-
 void Mda::aggregate_into(const GradientBatch& batch, AggregatorWorkspace& ws) const {
   select_subset_view(batch, ws);
   mean_rows_of_into(batch, ws.selected, ws.output);

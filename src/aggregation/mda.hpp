@@ -44,11 +44,9 @@ class Mda final : public Aggregator {
   std::string name() const override { return "mda"; }
   double vn_threshold() const override;
 
-  /// The selected subset (indices) of minimal diameter; exposed for tests.
-  std::vector<size_t> select_subset(std::span<const Vector> gradients) const;
-
-  /// Hot-path subset selection: fills ws.dist_sq and leaves the winning
-  /// subset in ws.selected (ascending index order).
+  /// Subset selection: fills ws.dist_sq and leaves the winning subset of
+  /// minimal diameter in ws.selected (ascending index order).  Does not
+  /// validate the batch (aggregate() does).
   void select_subset_view(const GradientBatch& batch, AggregatorWorkspace& ws) const;
 
   /// Largest f the constructor accepts: the search tree has at most

@@ -10,12 +10,6 @@
 
 namespace dpbyz {
 
-Vector Attack::forge(const AttackContext& ctx, Rng& rng) const {
-  Vector out(ctx.observed.dim());
-  forge_into(ctx, rng, out);
-  return out;
-}
-
 std::vector<std::string> attack_names() {
   return {"little",       "empire",          "signflip",      "random",
           "zero",         "mimic",           "adaptive_alie", "adaptive_empire",

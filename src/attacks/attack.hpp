@@ -12,8 +12,7 @@
 //
 // Hot path: the adversary reads the honest rows of the step's
 // GradientBatch arena and forges its common gradient *in place* into the
-// Byzantine rows (forge_into) — no per-step allocation.  The Vector-
-// returning forge() is the allocating convenience wrapper.
+// Byzantine rows (forge_into) — no per-step allocation.
 #pragma once
 
 #include <iosfwd>
@@ -64,9 +63,6 @@ class Attack {
   /// submission arena).  `out` must not alias an observed row.
   virtual void forge_into(const AttackContext& ctx, Rng& rng,
                           std::span<double> out) const = 0;
-
-  /// Allocating convenience wrapper around forge_into.
-  Vector forge(const AttackContext& ctx, Rng& rng) const;
 
   /// Short identifier ("little", "empire", ...).
   virtual std::string name() const = 0;

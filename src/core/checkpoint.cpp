@@ -1,18 +1,30 @@
 #include "core/checkpoint.hpp"
 
 #include <bit>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
+#include "net/frame.hpp"
 #include "utils/atomic_file.hpp"
 
 namespace dpbyz {
 
 namespace {
 
-constexpr const char* kMagic = "DPBYZCKP1";
+constexpr const char* kMagic = "DPBYZCKP2";
+
+/// CRC-32 of the file's first `len` bytes, as the trailer spells it.
+std::string crc_hex(const std::string& bytes, size_t len) {
+  const uint32_t crc = net::crc32(
+      std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(bytes.data()), len));
+  char buf[9];
+  std::snprintf(buf, sizeof buf, "%08x", crc);
+  return buf;
+}
 
 /// Exact text rendering of a double (its 8-byte pattern as decimal).
 std::string bits_of(double x) {
@@ -104,38 +116,48 @@ std::string checkpoint_signature(const ExperimentConfig& c) {
 }
 
 void save_checkpoint(const std::string& path, const TrainerCheckpoint& ckpt) {
-  write_file_atomic(path, "checkpoint", [&](std::ostream& os) {
-    os << kMagic << '\n';
-    write_blob(os, "sig", ckpt.signature);
-    os << "round " << ckpt.round << '\n';
-    write_blob(os, "params", pack_doubles(ckpt.params));
-    write_blob(os, "velocity", pack_doubles(ckpt.velocity));
-    os << "workers " << ckpt.worker_blobs.size() << '\n';
-    for (const std::string& blob : ckpt.worker_blobs) write_blob(os, "worker", blob);
-    write_blob(os, "attack", ckpt.attack_blob);
-    write_blob(os, "streams", ckpt.stream_blob);
-    write_blob(os, "membership", ckpt.membership_blob);
-    write_blob(os, "reputation", ckpt.reputation_blob);
-    write_blob(os, "train_loss", pack_doubles(ckpt.train_loss));
-    write_blob(os, "round_rows", pack_u64s(ckpt.round_rows));
-    write_blob(os, "round_f", pack_u64s(ckpt.round_f));
-    std::vector<uint64_t> eval_steps;
-    std::vector<double> eval_accs;
-    eval_steps.reserve(ckpt.eval.size());
-    eval_accs.reserve(ckpt.eval.size());
-    for (const EvalRecord& e : ckpt.eval) {
-      eval_steps.push_back(e.step);
-      eval_accs.push_back(e.accuracy);
-    }
-    write_blob(os, "eval_steps", pack_u64s(eval_steps));
-    write_blob(os, "eval_accs", pack_doubles(eval_accs));
-    os << "end\n";
+  std::ostringstream os;
+  os << kMagic << '\n';
+  write_blob(os, "sig", ckpt.signature);
+  os << "round " << ckpt.round << '\n';
+  write_blob(os, "params", pack_doubles(ckpt.params));
+  write_blob(os, "velocity", pack_doubles(ckpt.velocity));
+  os << "workers " << ckpt.worker_blobs.size() << '\n';
+  for (const std::string& blob : ckpt.worker_blobs) write_blob(os, "worker", blob);
+  write_blob(os, "attack", ckpt.attack_blob);
+  write_blob(os, "streams", ckpt.stream_blob);
+  write_blob(os, "membership", ckpt.membership_blob);
+  write_blob(os, "reputation", ckpt.reputation_blob);
+  write_blob(os, "train_loss", pack_doubles(ckpt.train_loss));
+  write_blob(os, "round_rows", pack_u64s(ckpt.round_rows));
+  write_blob(os, "round_f", pack_u64s(ckpt.round_f));
+  std::vector<uint64_t> eval_steps;
+  std::vector<double> eval_accs;
+  eval_steps.reserve(ckpt.eval.size());
+  eval_accs.reserve(ckpt.eval.size());
+  for (const EvalRecord& e : ckpt.eval) {
+    eval_steps.push_back(e.step);
+    eval_accs.push_back(e.accuracy);
+  }
+  write_blob(os, "eval_steps", pack_u64s(eval_steps));
+  write_blob(os, "eval_accs", pack_doubles(eval_accs));
+  os << "end\n";
+  const std::string body = os.str();
+  write_file_atomic(path, "checkpoint", [&](std::ostream& out) {
+    out << body << "crc32 " << crc_hex(body, body.size()) << '\n';
   });
 }
 
 std::optional<TrainerCheckpoint> load_checkpoint(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return std::nullopt;
+  std::string file;
+  {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) return std::nullopt;
+    file.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  // Parse first, so a truncated or mis-tagged file reports where it
+  // broke; the checksum then vouches for the payload bytes.
+  std::istringstream is(file);
   std::string magic;
   std::getline(is, magic);
   if (magic != kMagic)
@@ -177,6 +199,15 @@ std::optional<TrainerCheckpoint> load_checkpoint(const std::string& path) {
     ckpt.eval.push_back({static_cast<size_t>(eval_steps[i]), eval_accs[i]});
   is >> tag;
   if (tag != "end") throw std::runtime_error("checkpoint: missing end marker");
+  is.get();  // '\n'
+  const auto covered = static_cast<size_t>(is.tellg());
+  std::string stored;
+  is >> tag >> stored;
+  if (is.fail() || tag != "crc32")
+    throw std::runtime_error("checkpoint: '" + path + "' has no CRC-32 trailer");
+  if (const std::string computed = crc_hex(file, covered); stored != computed)
+    throw std::runtime_error("checkpoint: '" + path + "' fails its CRC-32 check (stored " +
+                             stored + ", computed " + computed + ")");
   return ckpt;
 }
 

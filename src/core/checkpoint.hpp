@@ -10,11 +10,15 @@
 // RoundPipeline::acquire), so the captured streams are quiescent and the
 // barrier pattern is the same whether or not the process died.
 //
-// File format: a magic line ("DPBYZCKP1"), then named length-prefixed
+// File format: a magic line ("DPBYZCKP2"), then named length-prefixed
 // blobs — text headers with raw byte payloads (doubles travel as their
-// exact 8-byte representations).  Writes are atomic: the blob goes to
-// `path + ".tmp"` and is renamed over `path`, so a crash mid-write never
-// corrupts an existing checkpoint.
+// exact 8-byte representations) — an "end" line, and last a
+// "crc32 <8 hex digits>" line: the CRC-32 (net::crc32) of every byte
+// before it.  The blob reader checks only tags and lengths, so the
+// checksum is what catches a flipped bit inside a payload: a mismatch
+// throws instead of restoring a wrong θ.  Writes are atomic: the file
+// goes to `path + ".tmp"` and is renamed over `path`, so a crash
+// mid-write never corrupts an existing checkpoint.
 //
 // The signature ties a checkpoint to the trajectory-shaping configuration
 // (every knob except `steps`, the checkpoint file location, the resume
@@ -62,7 +66,8 @@ std::string checkpoint_signature(const ExperimentConfig& config);
 void save_checkpoint(const std::string& path, const TrainerCheckpoint& ckpt);
 
 /// Load `path`; nullopt when the file does not exist.  Throws
-/// std::runtime_error on a corrupt or truncated file.
+/// std::runtime_error on a corrupt or truncated file, and one naming
+/// `path` and "CRC-32" when the checksum trailer does not match.
 std::optional<TrainerCheckpoint> load_checkpoint(const std::string& path);
 
 }  // namespace dpbyz

@@ -8,8 +8,8 @@
 // mechanism; the server object needs no code for it.
 //
 // The server owns the AggregatorWorkspace its GAR aggregates through, so
-// the per-step hot path (step on a GradientBatch) allocates nothing once
-// the workspace has warmed up.
+// the per-round hot path (aggregate_with + apply on a GradientBatch)
+// allocates nothing once the workspace has warmed up.
 #pragma once
 
 #include <memory>
@@ -26,28 +26,16 @@ class ParameterServer {
   /// Takes ownership of the GAR and optimizer; `w0` is the initial model.
   ParameterServer(std::unique_ptr<Aggregator> gar, SgdOptimizer optimizer, Vector w0);
 
-  /// One synchronous round: aggregate the n batch rows and apply the
-  /// update for (1-based) step t.  Allocation-free at steady state.
-  /// Equivalent to aggregate(batch) followed by apply(t) — the split
-  /// exists so the round engine can time (and interleave) the two
-  /// phases separately.
-  void step(const GradientBatch& batch, size_t t);
-
-  /// Legacy convenience: packs the vectors into an internal arena and
-  /// forwards (copies; not for the hot loop).
-  void step(std::span<const Vector> gradients, size_t t);
-
-  /// Phase 1 of step(): run the server's own GAR over the batch and
-  /// latch the result into last_aggregate().  Does not touch the model.
-  void aggregate(const GradientBatch& batch);
-
-  /// Same, but through a caller-supplied GAR — the round engine swaps in
-  /// a per-(n', f) rule when participation shrinks the round (the GAR is
-  /// constructed at a fixed row count; see core/pipeline.hpp).  Scratch
-  /// still comes from this server's workspace.
+  /// Phase 1 of a round: run `gar` over the batch and latch the result
+  /// into last_aggregate().  Does not touch the model.  The round engine
+  /// passes the server's own gar() or, when participation shrinks the
+  /// round, a per-(n', f) rule (a GAR is constructed at a fixed row
+  /// count; see core/pipeline.hpp).  Scratch comes from this server's
+  /// workspace, so the call is allocation-free at steady state.
   void aggregate_with(const Aggregator& gar, const GradientBatch& batch);
 
-  /// Phase 2 of step(): apply the latched aggregate for (1-based) step t.
+  /// Phase 2: apply the latched aggregate for (1-based) step t.  Split
+  /// from phase 1 so the round engine can time (and interleave) the two.
   void apply(size_t t);
 
   const Vector& parameters() const { return w_; }
@@ -81,7 +69,6 @@ class ParameterServer {
   Vector w_;
   Vector last_aggregate_;
   AggregatorWorkspace ws_;
-  GradientBatch legacy_batch_;  // arena backing the span overload
   /// Rules replaced by renegotiate(), kept alive (see renegotiate docs).
   std::vector<std::unique_ptr<Aggregator>> retired_;
 };

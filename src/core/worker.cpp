@@ -54,12 +54,6 @@ void HonestWorker::submit_into(const Vector& w, std::span<double> out) {
   mechanism_.perturb_into(last_clean_gradient_, noise_rng_, out);
 }
 
-Vector HonestWorker::submit(const Vector& w) {
-  Vector out(model_.dim());
-  submit_into(w, out);
-  return out;
-}
-
 void HonestWorker::save_state(std::ostream& os) const {
   sample_rng_.save(os);
   noise_rng_.save(os);

@@ -53,16 +53,13 @@ class HonestWorker {
   /// does); a single worker's calls must stay sequential.
   void submit_into(const Vector& w, std::span<double> out);
 
-  /// Allocating convenience wrapper around submit_into.
-  Vector submit(const Vector& w);
-
-  /// Mini-batch loss at the most recent submit()'s batch and parameters —
+  /// Mini-batch loss at the most recent submit_into()'s batch and parameters —
   /// the paper's per-step training metric ("the average loss achieved by
   /// the model over the training datapoints sampled by the honest
   /// workers", §5.1).
   double last_batch_loss() const { return last_batch_loss_; }
 
-  /// The clipped, pre-noise gradient of the last submit() (diagnostics:
+  /// The clipped, pre-noise gradient of the last submit_into() (diagnostics:
   /// VN-ratio estimation needs the clean gradient distribution).
   const Vector& last_clean_gradient() const { return last_clean_gradient_; }
 

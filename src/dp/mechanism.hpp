@@ -4,8 +4,8 @@
 // designs its own local randomizer M_i to send a perturbed version of its
 // gradient to the untrusted server"; the system is (eps, delta)-DP iff
 // every local randomizer is.  A NoiseMechanism encapsulates that
-// randomizer: given a clipped gradient, it returns the sanitized vector
-// o_t = g_t + y_t (Eq. 7).
+// randomizer: given a clipped gradient, it writes the sanitized vector
+// o_t = g_t + y_t (Eq. 7) into caller storage.
 #pragma once
 
 #include <memory>
@@ -24,18 +24,9 @@ class NoiseMechanism {
   /// Sanitize a gradient in place into `out` (same length): out = g + y
   /// with fresh noise y from `rng` — the worker pipeline's hot path,
   /// where `out` is the worker's row of the round's GradientBatch arena.
-  /// Draw-for-draw identical to perturb on the same rng state; performs
-  /// no heap allocation.  `out` may alias `gradient`.
+  /// Performs no heap allocation.  `out` may alias `gradient`.
   virtual void perturb_into(std::span<const double> gradient, Rng& rng,
                             std::span<double> out) const = 0;
-
-  /// Allocating convenience wrapper around perturb_into — value-identical
-  /// by construction (tests, theory module, cold call sites).
-  Vector perturb(const Vector& gradient, Rng& rng) const {
-    Vector out(gradient.size());
-    perturb_into(gradient, rng, out);
-    return out;
-  }
 
   /// Per-coordinate standard deviation of the injected noise (the `s` of
   /// Eq. 6 for the Gaussian mechanism; sqrt(2)*scale for Laplace).

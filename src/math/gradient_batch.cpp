@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 
 #include "math/kernels.hpp"
 #include "math/statistics.hpp"
 #include "utils/errors.hpp"
-#include "utils/parallel.hpp"
 
 namespace dpbyz {
 
@@ -131,8 +129,7 @@ void median_rows_into(const GradientBatch& batch, std::vector<double>& column_sc
   }
 }
 
-void pairwise_dist_sq(const GradientBatch& batch, std::span<double> out,
-                      size_t threads) {
+void pairwise_dist_sq(const GradientBatch& batch, std::span<double> out) {
   const size_t n = batch.rows();
   const size_t d = batch.dim();
   require(out.size() == n * n, "pairwise_dist_sq: output must be rows*rows");
@@ -143,7 +140,7 @@ void pairwise_dist_sq(const GradientBatch& batch, std::span<double> out,
 
   // Tile the (i, j) pair loop so a block of j-rows stays cache-resident
   // while the i-rows stream past it; each unordered pair belongs to
-  // exactly one tile (the one containing j), so tiles are independent.
+  // exactly one tile (the one containing j).
   // Tiles hold whole multiples of kBlockRows rows, so each source group
   // fills a block's lanes even when one row alone exceeds the tile bytes.
   constexpr size_t kTileBytes = 256 * 1024;
@@ -156,7 +153,7 @@ void pairwise_dist_sq(const GradientBatch& batch, std::span<double> out,
   // kB destination rows [ib, ib + kB) and up to kB source rows
   // [j0, j0 + m), one pair per lane, each summed in coordinate order —
   // bit-identical to the seed's single-pair loop in either math mode,
-  // so neither blocking nor thread width changes a double.  A lane
+  // so blocking does not change a double.  A lane
   // whose pair is not i < j (the block straddles the diagonal, or pads
   // past row n - 1 with a repeat of the last row) is computed and
   // dropped, so every entry has exactly one writer.
@@ -179,22 +176,9 @@ void pairwise_dist_sq(const GradientBatch& batch, std::span<double> out,
         }
       }
     }
-    return 0;
   };
 
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw > 0 ? hw : 1;
-  }
-  // Thread spawn (and parallel_map's result buffer) only pays off for
-  // heavy matrices; the serial path is allocation-free.
-  constexpr size_t kParallelMinWork = size_t{1} << 24;  // pair-coordinates
-  const size_t total_work = n * (n - 1) / 2 * d;
-  if (threads <= 1 || num_tiles <= 1 || total_work < kParallelMinWork) {
-    for (size_t t = 0; t < num_tiles; ++t) do_tile(t);
-  } else {
-    parallel_map(num_tiles, do_tile, threads);
-  }
+  for (size_t t = 0; t < num_tiles; ++t) do_tile(t);
 }
 
 }  // namespace dpbyz

@@ -85,7 +85,8 @@ class GradientBatch {
   /// Owning copy of row i (allocates — not for the hot path).
   Vector row_vector(size_t i) const;
 
-  /// Pack owning vectors into a fresh batch (legacy-API bridge).
+  /// Pack owning vectors into a fresh batch (allocates; for callers that
+  /// hold their rows as vectors, such as tests and the seed oracles).
   /// All vectors must share one dimension.
   static GradientBatch from_vectors(std::span<const Vector> vs);
 
@@ -138,15 +139,8 @@ void median_rows_into(const GradientBatch& batch, std::vector<double>& column_sc
 /// across pairs), by a single forward pass over the coordinates, so every
 /// entry is bit-identical to kernels::dist_sq_scalar on the same rows —
 /// in either math mode (fast mode does not touch this kernel).  The pair
-/// loop is tiled over row blocks for cache reuse and
-/// dispatched through parallel_map (coarse grain, on the process-wide
-/// ThreadPool) when the work is large enough to amortise dispatch;
-/// `threads` = 0 picks the hardware concurrency, 1 (the default) forces
-/// serial.  The serial path is allocation-free, which is why the GAR hot
-/// path uses it — threaded dispatch is an explicit opt-in for callers
-/// that own the thread budget (parallel_map's result vector allocates,
-/// and a nested call inside run_seeds_parallel runs serially anyway).
-void pairwise_dist_sq(const GradientBatch& batch, std::span<double> out,
-                      size_t threads = 1);
+/// loop is tiled over row blocks for cache reuse and runs serially on the
+/// calling thread, allocation-free.
+void pairwise_dist_sq(const GradientBatch& batch, std::span<double> out);
 
 }  // namespace dpbyz

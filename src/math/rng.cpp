@@ -93,12 +93,6 @@ void Rng::normal_fill(std::span<double> out, double stddev) {
   for (double& x : out) x = dist(engine_);
 }
 
-Vector Rng::laplace_vector(size_t d, double scale) {
-  Vector out(d);
-  for (double& x : out) x = laplace(0.0, scale);
-  return out;
-}
-
 void Rng::save(std::ostream& os) const {
   os << "rng " << seed_ << ' ' << engine_ << '\n';
 }

@@ -66,9 +66,6 @@ class Rng {
   /// attack forges rows in place through this).
   void normal_fill(std::span<double> out, double stddev);
 
-  /// Vector of iid Laplace(0, scale) entries.
-  Vector laplace_vector(size_t d, double scale);
-
   /// Fisher–Yates shuffle of an index range [0, n), returned as a vector.
   std::vector<size_t> permutation(size_t n);
 

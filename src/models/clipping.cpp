@@ -7,16 +7,10 @@
 namespace dpbyz {
 
 double clip_l2_inplace(std::span<double> g, double max_norm) {
-  require(max_norm > 0, "clip_l2: max_norm must be positive");
+  require(max_norm > 0, "clip_l2_inplace: max_norm must be positive");
   const double n = vec::norm(g);
   if (n > max_norm) vec::scale_inplace(g, max_norm / n);
   return n;
-}
-
-Vector clip_l2(const Vector& g, double max_norm) {
-  Vector out = g;
-  clip_l2_inplace(out, max_norm);
-  return out;
 }
 
 }  // namespace dpbyz

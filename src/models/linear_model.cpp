@@ -7,13 +7,6 @@
 
 namespace dpbyz {
 
-Vector Model::batch_gradient(const Vector& w, const Dataset& data,
-                             std::span<const size_t> batch) const {
-  Vector g(dim(), 0.0);
-  batch_gradient_into(w, data, batch, g);
-  return g;
-}
-
 double Model::accuracy(const Vector&, const Dataset&) const {
   return std::nan("");
 }
@@ -143,9 +136,9 @@ double LinearModel::batch_loss_and_gradient_into(const Vector& w, const Dataset&
 void LinearModel::batch_gradient_into(const Vector& w, const Dataset& data,
                                       std::span<const size_t> batch,
                                       std::span<double> g) const {
-  require(!batch.empty(), "LinearModel::batch_gradient: empty batch");
-  require(data.labeled(), "LinearModel::batch_gradient: dataset must be labeled");
-  require(g.size() == dim(), "LinearModel::batch_gradient: wrong output dimension");
+  require(!batch.empty(), "LinearModel::batch_gradient_into: empty batch");
+  require(data.labeled(), "LinearModel::batch_gradient_into: dataset must be labeled");
+  require(g.size() == dim(), "LinearModel::batch_gradient_into: wrong output dimension");
   row_pass<kGradient>(w, data, batch.size(), [batch](size_t k) { return batch[k]; }, g);
   vec::scale_inplace(g, 1.0 / static_cast<double>(batch.size()));
 }

@@ -100,9 +100,9 @@ double MlpModel::batch_loss_and_gradient_into(const Vector& w, const Dataset& da
 void MlpModel::batch_gradient_into(const Vector& w, const Dataset& data,
                                    std::span<const size_t> batch,
                                    std::span<double> g) const {
-  require(!batch.empty(), "MlpModel::batch_gradient: empty batch");
-  require(data.labeled(), "MlpModel::batch_gradient: dataset must be labeled");
-  require(g.size() == dim_, "MlpModel::batch_gradient: wrong output dimension");
+  require(!batch.empty(), "MlpModel::batch_gradient_into: empty batch");
+  require(data.labeled(), "MlpModel::batch_gradient_into: dataset must be labeled");
+  require(g.size() == dim_, "MlpModel::batch_gradient_into: wrong output dimension");
   batch_pass<false, true>(w, data, batch, g);
 }
 

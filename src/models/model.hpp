@@ -44,11 +44,6 @@ class Model {
                                    std::span<const size_t> batch,
                                    std::span<double> out) const = 0;
 
-  /// Allocating convenience wrapper around batch_gradient_into —
-  /// value-identical by construction (tests and cold call sites).
-  Vector batch_gradient(const Vector& w, const Dataset& data,
-                        std::span<const size_t> batch) const;
-
   /// Mean loss over the given rows of `data`.
   virtual double batch_loss(const Vector& w, const Dataset& data,
                             std::span<const size_t> batch) const = 0;

@@ -53,7 +53,7 @@ double QuadraticModel::batch_loss_and_gradient_into(const Vector& w, const Datas
 void QuadraticModel::batch_gradient_into(const Vector& w, const Dataset& data,
                                          std::span<const size_t> batch,
                                          std::span<double> out) const {
-  require(out.size() == dim_, "QuadraticModel::batch_gradient: wrong output dimension");
+  require(out.size() == dim_, "QuadraticModel::batch_gradient_into: wrong output dimension");
   row_pass<false, true>(w, data, batch, out);
 }
 

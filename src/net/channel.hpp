@@ -30,10 +30,6 @@ struct ChannelConfig {
   double duplicate = 0.0;  ///< a second copy is delivered
   double corrupt = 0.0;    ///< one byte of a delivered copy is flipped
   double reorder = 0.0;    ///< a delivered copy is delayed past later sends
-
-  bool any_faults() const {
-    return drop > 0 || duplicate > 0 || corrupt > 0 || reorder > 0;
-  }
 };
 
 /// Counters accumulated across transmissions (and, at the aggregator

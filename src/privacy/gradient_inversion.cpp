@@ -55,12 +55,15 @@ InversionReport attack_linear_model(const Dataset& data, const Vector& w,
   InversionReport report;
   double error_acc = 0.0;
   size_t labels_right = 0;
+  Vector g(model.dim());
+  Vector noise(model.dim());
   for (size_t i = 0; i < count; ++i) {
     const size_t victim = sample_rng.uniform_index(data.size());
-    const std::vector<size_t> batch{victim};
-    Vector g = model.batch_gradient(w, data, batch);
-    if (noise_stddev > 0.0)
-      vec::add_inplace(g, noise_rng.normal_vector(g.size(), noise_stddev));
+    model.batch_gradient_into(w, data, std::span<const size_t>(&victim, 1), g);
+    if (noise_stddev > 0.0) {
+      noise_rng.normal_fill(noise, noise_stddev);
+      vec::add_inplace(g, noise);
+    }
     ++report.attempted;
 
     const auto inv = invert_single_gradient(g, 1e-9);

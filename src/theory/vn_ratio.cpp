@@ -21,11 +21,12 @@ VnEstimate estimate_vn_ratio(const Model& model, const Dataset& data, const Vect
   std::vector<Vector> samples;
   samples.reserve(num_samples);
   std::vector<size_t> batch(batch_size);
+  Vector g(model.dim());
   for (size_t s = 0; s < num_samples; ++s) {
     for (size_t& i : batch) i = rng.uniform_index(data.size());
-    Vector g = model.batch_gradient(w, data, batch);
+    model.batch_gradient_into(w, data, batch, g);
     clip_l2_inplace(g, clip_norm);
-    samples.push_back(mechanism.perturb(g, rng));
+    mechanism.perturb_into(g, rng, samples.emplace_back(g.size()));
   }
 
   VnEstimate out{};

@@ -71,8 +71,6 @@ ThreadPool& ThreadPool::shared() {
   return pool;
 }
 
-bool ThreadPool::on_worker_thread() { return t_on_pool_worker; }
-
 bool ThreadPool::in_serial_context() { return t_on_pool_worker || t_in_fork_join; }
 
 void ThreadPool::drain(Job& job) {

@@ -86,10 +86,6 @@ class ThreadPool {
   /// threads no matter how many components go parallel.
   static ThreadPool& shared();
 
-  /// True when the calling thread is a pool worker (of any ThreadPool in
-  /// the process).
-  static bool on_worker_thread();
-
   /// True when the calling thread must not fork: it is a pool worker, or
   /// it is already inside a run() call of its own (a task of the current
   /// job calling back into the parallel layer).  run() executes serially

@@ -8,12 +8,68 @@
 #include <limits>
 #include <numeric>
 
-#include "aggregation/krum.hpp"
 #include "aggregation/trimmed_mean.hpp"
 #include "math/statistics.hpp"
 #include "utils/errors.hpp"
 
 namespace dpbyz::reference {
+
+namespace {
+
+/// Nominal neighbourhood count - f - 2, clamped so Bulyan's shrinking
+/// pools (down to 2f + 1 elements) still score meaningfully.
+size_t neighbourhood(size_t count, size_t f) {
+  const size_t nominal = count > f + 2 ? count - f - 2 : 1;
+  return std::min(nominal, count - 1);
+}
+
+/// Sum of the `neighbours` smallest entries of row[0..len) (row is
+/// clobbered).  A copy of the library's helper in aggregation/krum.cpp:
+/// the oracle and the matrix path must sum in the exact same order.
+double nearest_neighbour_sum(std::vector<double>& row, size_t len, size_t neighbours) {
+  std::nth_element(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(neighbours - 1),
+                   row.begin() + static_cast<std::ptrdiff_t>(len));
+  return std::accumulate(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(neighbours),
+                         0.0);
+}
+
+}  // namespace
+
+std::vector<double> krum_scores(std::span<const Vector> gradients, size_t f) {
+  const size_t count = gradients.size();
+  require(count >= 2, "krum_scores: need at least two gradients");
+  const size_t neighbours = neighbourhood(count, f);
+
+  // Pairwise squared distances: one flat count*count buffer, each
+  // symmetric entry computed once.
+  std::vector<double> dist_sq(count * count, 0.0);
+  for (size_t i = 0; i < count; ++i)
+    for (size_t j = i + 1; j < count; ++j)
+      dist_sq[i * count + j] = dist_sq[j * count + i] =
+          vec::dist_sq(gradients[i], gradients[j]);
+
+  std::vector<double> out(count);
+  std::vector<double> row(count - 1);
+  for (size_t i = 0; i < count; ++i) {
+    size_t k = 0;
+    for (size_t j = 0; j < count; ++j)
+      if (j != i) row[k++] = dist_sq[i * count + j];
+    out[i] = nearest_neighbour_sum(row, k, neighbours);
+  }
+  return out;
+}
+
+size_t krum_argmin(std::span<const Vector> gradients, const std::vector<double>& scores) {
+  require(gradients.size() == scores.size(), "krum_argmin: size mismatch");
+  size_t best = 0;
+  for (size_t i = 1; i < scores.size(); ++i) {
+    if (scores[i] < scores[best] ||
+        (scores[i] == scores[best] && gradients[i] < gradients[best])) {
+      best = i;
+    }
+  }
+  return best;
+}
 
 Vector average(std::span<const Vector> gradients) { return vec::mean(gradients); }
 

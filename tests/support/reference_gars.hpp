@@ -15,10 +15,23 @@
 
 #include <cstddef>
 #include <span>
+#include <vector>
 
 #include "math/vector_ops.hpp"
 
 namespace dpbyz::reference {
+
+/// Seed Krum scoring for an arbitrary pool: each gradient's sum of squared
+/// distances to its `count - f - 2` nearest neighbours, the neighbourhood
+/// clamped to [1, count-1] (Bulyan's shrinking pools).  Allocates and
+/// recomputes its own distance matrix; krum_scores_from_matrix must match
+/// it bit for bit.
+std::vector<double> krum_scores(std::span<const Vector> gradients, size_t f);
+
+/// Index of the minimum-score gradient, exact score ties broken by
+/// lexicographic comparison of the gradient vectors (the tie-break
+/// krum_argmin_view applies to batch rows).
+size_t krum_argmin(std::span<const Vector> gradients, const std::vector<double>& scores);
 
 Vector average(std::span<const Vector> gradients);
 Vector krum(std::span<const Vector> gradients, size_t f);

@@ -60,9 +60,12 @@ TEST(AdaptiveAttack, DeterministicAcrossInstancesAndCalls) {
   AdaptiveAttack a(AdaptiveAttack::Mode::kAlie, std::nan(""), spec);
   AdaptiveAttack b(AdaptiveAttack::Mode::kAlie, std::nan(""), spec);
   Rng rng(1);
-  const Vector first = a.forge(ctx_of(observed, 5), rng);
-  const Vector again = a.forge(ctx_of(observed, 5), rng);
-  const Vector other = b.forge(ctx_of(observed, 5), rng);
+  Vector first(observed.dim());
+  a.forge_into(ctx_of(observed, 5), rng, first);
+  Vector again(observed.dim());
+  a.forge_into(ctx_of(observed, 5), rng, again);
+  Vector other(observed.dim());
+  b.forge_into(ctx_of(observed, 5), rng, other);
   EXPECT_EQ(first, again);  // pure function of the context: no RNG, no drift
   EXPECT_EQ(first, other);
   EXPECT_DOUBLE_EQ(a.last_nu(), b.last_nu());
@@ -78,7 +81,8 @@ TEST(AdaptiveAttack, TunedFactorWeaklyDominatesPaperDefaultUnderProxy) {
          {AdaptiveAttack::Mode::kAlie, AdaptiveAttack::Mode::kEmpire}) {
       AdaptiveAttack attack(mode, std::nan(""), AdaptiveSpec{"mda", "off", 8, 0});
       Rng rng(1);
-      (void)attack.forge(ctx_of(observed, 5), rng);
+      Vector forged(observed.dim());
+      attack.forge_into(ctx_of(observed, 5), rng, forged);
       const Vector mean = stats::coordinate_mean(honest);
       Vector dir;
       if (mode == AdaptiveAttack::Mode::kAlie) {
@@ -106,8 +110,10 @@ TEST(AdaptiveAttack, FallsBackToFixedAttackWhenShadowInadmissible) {
                           AdaptiveSpec{"krum", "off", 8, 0});
   ALittleIsEnough fixed(1.5);
   Rng rng(1);
-  const Vector got = adaptive.forge(ctx_of(observed, 5), rng);
-  const Vector want = fixed.forge(ctx_of(observed, 5), rng);
+  Vector got(observed.dim());
+  adaptive.forge_into(ctx_of(observed, 5), rng, got);
+  Vector want(observed.dim());
+  fixed.forge_into(ctx_of(observed, 5), rng, want);
   for (size_t c = 0; c < got.size(); ++c) EXPECT_NEAR(got[c], want[c], 1e-12);
   EXPECT_DOUBLE_EQ(adaptive.last_nu(), 1.5);
   EXPECT_EQ(adaptive.evals(), 0u);  // no shadow, no probes spent
@@ -120,13 +126,15 @@ TEST(AdaptiveAttack, BudgetExhaustionFreezesLastTunedFactor) {
   AdaptiveAttack attack(AdaptiveAttack::Mode::kAlie, std::nan(""),
                         AdaptiveSpec{"mda", "off", 4, 4 + 3});
   Rng rng(1);
-  (void)attack.forge(ctx_of(observed, 5), rng);
+  Vector first(observed.dim());
+  attack.forge_into(ctx_of(observed, 5), rng, first);
   const double tuned = attack.last_nu();
   const size_t spent = attack.evals();
   EXPECT_EQ(spent, 4u + 3u);
   // Second round: the budget is gone; the factor freezes and no further
   // shadow evaluations happen.
-  const Vector frozen = attack.forge(ctx_of(observed, 5), rng);
+  Vector frozen(observed.dim());
+  attack.forge_into(ctx_of(observed, 5), rng, frozen);
   EXPECT_DOUBLE_EQ(attack.last_nu(), tuned);
   EXPECT_EQ(attack.evals(), spent);
   const Vector mean = stats::coordinate_mean(random_honest(6, 8, 11));
@@ -157,7 +165,8 @@ TEST(MimicBoundary, ForgedRowWinsKrumSelection) {
   const GradientBatch observed = GradientBatch::from_vectors(honest);
   MimicBoundary attack(AdaptiveSpec{"krum", "off", 12, 0});
   Rng rng(1);
-  const Vector forged = attack.forge(ctx_of(observed, f), rng);
+  Vector forged(observed.dim());
+  attack.forge_into(ctx_of(observed, f), rng, forged);
 
   std::vector<Vector> all = honest;
   for (size_t i = 0; i < f; ++i) all.push_back(forged);
@@ -182,8 +191,9 @@ TEST(MimicBoundary, SurvivesKrumAtLeastAsOftenAsFixedAlie) {
     MimicBoundary mimic(AdaptiveSpec{"krum", "off", 12, 0});
     ALittleIsEnough alie(1.5);
     for (const bool adaptive : {true, false}) {
-      const Vector forged = adaptive ? mimic.forge(ctx_of(observed, f), rng)
-                                     : alie.forge(ctx_of(observed, f), rng);
+      Vector forged(observed.dim());
+      const Attack& attack = adaptive ? static_cast<const Attack&>(mimic) : alie;
+      attack.forge_into(ctx_of(observed, f), rng, forged);
       std::vector<Vector> all = honest;
       for (size_t i = 0; i < f; ++i) all.push_back(forged);
       const GradientBatch batch = GradientBatch::from_vectors(all);
@@ -206,7 +216,8 @@ TEST(MimicBoundary, ForgedRowJoinsMdaSubset) {
   const GradientBatch observed = GradientBatch::from_vectors(honest);
   MimicBoundary attack(AdaptiveSpec{"mda", "off", 12, 0});
   Rng rng(1);
-  const Vector forged = attack.forge(ctx_of(observed, f), rng);
+  Vector forged(observed.dim());
+  attack.forge_into(ctx_of(observed, f), rng, forged);
 
   std::vector<Vector> all = honest;
   for (size_t i = 0; i < f; ++i) all.push_back(forged);
@@ -228,7 +239,8 @@ TEST(MimicBoundary, NonSelectionGarDegradesToCalibratedAlie) {
   const GradientBatch observed = GradientBatch::from_vectors(honest);
   MimicBoundary attack(AdaptiveSpec{"median", "off", 12, 0});
   Rng rng(1);
-  const Vector forged = attack.forge(ctx_of(observed, 5), rng);
+  Vector forged(observed.dim());
+  attack.forge_into(ctx_of(observed, 5), rng, forged);
   const double nu = ALittleIsEnough::optimal_nu(11, 5);
   EXPECT_DOUBLE_EQ(attack.last_alpha(), nu);
   const Vector mean = stats::coordinate_mean(honest);
@@ -244,8 +256,10 @@ TEST(StaleBoost, DegeneratesToFixedAlieAtStalenessZero) {
   StaleBoost boost(1.5);
   ALittleIsEnough alie(1.5);
   Rng rng(1);
-  const Vector got = boost.forge(ctx_of(observed, 5, 1, 0), rng);
-  const Vector want = alie.forge(ctx_of(observed, 5), rng);
+  Vector got(observed.dim());
+  boost.forge_into(ctx_of(observed, 5, 1, 0), rng, got);
+  Vector want(observed.dim());
+  alie.forge_into(ctx_of(observed, 5), rng, want);
   for (size_t c = 0; c < got.size(); ++c) EXPECT_NEAR(got[c], want[c], 1e-12);
 }
 
@@ -254,7 +268,8 @@ TEST(StaleBoost, AmplifiesLinearlyWithStaleness) {
   const GradientBatch observed = GradientBatch::from_vectors(honest);
   StaleBoost boost(1.5);
   Rng rng(1);
-  const Vector stale2 = boost.forge(ctx_of(observed, 5, 3, 2), rng);
+  Vector stale2(observed.dim());
+  boost.forge_into(ctx_of(observed, 5, 3, 2), rng, stale2);
   const Vector mean = stats::coordinate_mean(honest);
   const Vector sigma = stats::coordinate_stddev(honest);
   for (size_t c = 0; c < stale2.size(); ++c)

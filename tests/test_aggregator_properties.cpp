@@ -14,6 +14,8 @@
 #include "math/rng.hpp"
 #include "math/statistics.hpp"
 
+#include "aggregate.hpp"
+
 namespace dpbyz {
 namespace {
 
@@ -71,13 +73,13 @@ class GarPropertyTest : public ::testing::TestWithParam<GarCase> {
 TEST_P(GarPropertyTest, PermutationInvariant) {
   const auto agg = make();
   auto g = adversarial_inputs(Vector{1.0, -2.0, 0.5}, 0.1, 30.0, 1);
-  const Vector base = agg->aggregate(g);
+  const Vector base = support::aggregate(*agg, g);
   Rng rng(99);
   for (int trial = 0; trial < 5; ++trial) {
     const auto perm = rng.permutation(g.size());
     std::vector<Vector> shuffled(g.size());
     for (size_t i = 0; i < g.size(); ++i) shuffled[i] = g[perm[i]];
-    EXPECT_TRUE(vec::approx_equal(agg->aggregate(shuffled), base, 1e-9))
+    EXPECT_TRUE(vec::approx_equal(support::aggregate(*agg, shuffled), base, 1e-9))
         << "permutation trial " << trial;
   }
 }
@@ -86,13 +88,13 @@ TEST_P(GarPropertyTest, IdenticalInputsPassThrough) {
   const auto agg = make();
   const Vector v{0.3, -1.0, 2.0};
   const std::vector<Vector> g(GetParam().n, v);
-  EXPECT_TRUE(vec::approx_equal(agg->aggregate(g), v, 1e-9));
+  EXPECT_TRUE(vec::approx_equal(support::aggregate(*agg, g), v, 1e-9));
 }
 
 TEST_P(GarPropertyTest, Deterministic) {
   const auto agg = make();
   auto g = adversarial_inputs(Vector{1.0, 1.0}, 0.2, 50.0, 2);
-  EXPECT_EQ(agg->aggregate(g), agg->aggregate(g));
+  EXPECT_EQ(support::aggregate(*agg, g), support::aggregate(*agg, g));
 }
 
 TEST_P(GarPropertyTest, RobustRulesStayNearHonestClusterUnderFarOutliers) {
@@ -102,7 +104,7 @@ TEST_P(GarPropertyTest, RobustRulesStayNearHonestClusterUnderFarOutliers) {
   const Vector center{2.0, -1.0, 0.5, 3.0};
   for (uint64_t seed : {1, 2, 3}) {
     const auto g = adversarial_inputs(center, 0.05, 1000.0, seed);
-    const Vector out = agg->aggregate(g);
+    const Vector out = support::aggregate(*agg, g);
     // Output must stay within a modest multiple of the honest spread of
     // the cluster, far from the 1000-scale outliers.
     EXPECT_LT(vec::dist(out, center), 1.0) << "seed " << seed;
@@ -121,7 +123,7 @@ TEST_P(GarPropertyTest, PositiveInnerProductWithTrueGradient) {
   for (int trial = 0; trial < trials; ++trial) {
     const auto g = adversarial_inputs(true_grad, 0.05, 100.0,
                                       static_cast<uint64_t>(trial + 10));
-    vec::add_inplace(mean_out, agg->aggregate(g));
+    vec::add_inplace(mean_out, support::aggregate(*agg, g));
   }
   vec::scale_inplace(mean_out, 1.0 / trials);
   EXPECT_GT(vec::dot(mean_out, true_grad), 0.0);
@@ -136,7 +138,7 @@ TEST_P(GarPropertyTest, OutputWithinCoordinateRangeOfInputsForCoordinateRules) {
   if (!coordinate_rule) GTEST_SKIP() << "not a coordinate-wise rule";
   const auto agg = make();
   const auto g = adversarial_inputs(Vector{0.0, 5.0}, 1.0, 20.0, 4);
-  const Vector out = agg->aggregate(g);
+  const Vector out = support::aggregate(*agg, g);
   for (size_t coord = 0; coord < out.size(); ++coord) {
     double lo = g[0][coord], hi = g[0][coord];
     for (const auto& v : g) {
@@ -160,8 +162,8 @@ TEST_P(GarPropertyTest, TranslationEquivariantOnSymmetricInputs) {
   std::vector<Vector> shifted;
   shifted.reserve(g.size());
   for (const auto& v : g) shifted.push_back(vec::add(v, shift));
-  const Vector lhs = agg->aggregate(shifted);
-  const Vector rhs = vec::add(agg->aggregate(g), shift);
+  const Vector lhs = support::aggregate(*agg, shifted);
+  const Vector rhs = vec::add(support::aggregate(*agg, g), shift);
   EXPECT_TRUE(vec::approx_equal(lhs, rhs, 1e-6));
 }
 

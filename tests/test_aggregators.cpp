@@ -19,6 +19,8 @@
 #include "aggregation/trimmed_mean.hpp"
 #include "math/rng.hpp"
 
+#include "aggregate.hpp"
+
 namespace dpbyz {
 namespace {
 
@@ -34,7 +36,7 @@ std::vector<Vector> cluster_plus_outlier(size_t honest, size_t byz, double outli
 TEST(Average, IsExactMean) {
   Average agg(2, 0);
   const std::vector<Vector> g{{1.0, 3.0}, {3.0, 5.0}};
-  EXPECT_EQ(agg.aggregate(g), (Vector{2.0, 4.0}));
+  EXPECT_EQ(support::aggregate(agg, g), (Vector{2.0, 4.0}));
   EXPECT_TRUE(std::isnan(agg.vn_threshold()));
 }
 
@@ -43,14 +45,14 @@ TEST(Average, IsBrokenByOneOutlier) {
   // the average arbitrarily far.
   Average agg(5, 1);
   auto g = cluster_plus_outlier(4, 1, 1e6);
-  const Vector out = agg.aggregate(g);
+  const Vector out = support::aggregate(agg, g);
   EXPECT_GT(vec::norm(out), 1e5);
 }
 
 TEST(Krum, PicksAClusterMemberDespiteOutliers) {
   Krum agg(11, 4);  // n >= 2f + 3
   auto g = cluster_plus_outlier(7, 4, 100.0);
-  const Vector out = agg.aggregate(g);
+  const Vector out = support::aggregate(agg, g);
   EXPECT_NEAR(out[0], 1.0, 0.1);
   EXPECT_NEAR(out[1], 1.0, 0.1);
 }
@@ -58,7 +60,7 @@ TEST(Krum, PicksAClusterMemberDespiteOutliers) {
 TEST(Krum, OutputIsOneOfTheInputs) {
   Krum agg(7, 2);
   auto g = cluster_plus_outlier(5, 2, 50.0);
-  const Vector out = agg.aggregate(g);
+  const Vector out = support::aggregate(agg, g);
   bool found = false;
   for (const auto& v : g)
     if (v == out) found = true;
@@ -74,17 +76,20 @@ TEST(Krum, AdmissibilityBoundary) {
 TEST(MultiKrum, AveragesBestCandidates) {
   MultiKrum agg(11, 4);
   auto g = cluster_plus_outlier(7, 4, 100.0);
-  const Vector out = agg.aggregate(g);
+  const Vector out = support::aggregate(agg, g);
   EXPECT_NEAR(out[0], 1.0, 0.1);
 }
 
 TEST(Mda, SelectsTheTightCluster) {
   Mda agg(11, 5);
   auto g = cluster_plus_outlier(6, 5, 10.0);
-  const auto subset = agg.select_subset(g);
+  const GradientBatch batch = GradientBatch::from_vectors(g);
+  AggregatorWorkspace ws;
+  agg.select_subset_view(batch, ws);
+  const auto& subset = ws.selected;
   EXPECT_EQ(subset.size(), 6u);
   for (size_t i : subset) EXPECT_LT(i, 6u);  // all honest indices
-  const Vector out = agg.aggregate(g);
+  const Vector out = support::aggregate(agg, g);
   EXPECT_NEAR(out[0], 1.0, 0.05);
 }
 
@@ -110,21 +115,16 @@ TEST(Mda, ExclusionCapBoundary) {
 }
 
 TEST(Krum, ArgminTieBreaksLexicographically) {
-  // Two identical scores: the lexicographically smaller vector wins,
+  // Two identical scores: the lexicographically smaller row wins,
   // regardless of position.
-  const std::vector<Vector> g{{2.0, 0.0}, {1.0, 0.0}};
+  const std::vector<size_t> active{0, 1};
   const std::vector<double> scores{0.5, 0.5};
-  EXPECT_EQ(krum_argmin(g, scores), 1u);
-  const std::vector<Vector> g2{{1.0, 0.0}, {2.0, 0.0}};
-  EXPECT_EQ(krum_argmin(g2, scores), 0u);
-}
-
-TEST(Krum, FreeScoresMatchMemberScores) {
-  Rng rng(3);
-  std::vector<Vector> g;
-  for (int i = 0; i < 9; ++i) g.push_back(rng.normal_vector(4, 1.0));
-  Krum agg(9, 3);
-  EXPECT_EQ(agg.scores(g), krum_scores(g, 3));
+  const GradientBatch g =
+      GradientBatch::from_vectors(std::vector<Vector>{{2.0, 0.0}, {1.0, 0.0}});
+  EXPECT_EQ(krum_argmin_view(g, active, scores), 1u);
+  const GradientBatch g2 =
+      GradientBatch::from_vectors(std::vector<Vector>{{1.0, 0.0}, {2.0, 0.0}});
+  EXPECT_EQ(krum_argmin_view(g2, active, scores), 0u);
 }
 
 TEST(Mda, MatchesBruteForceOnSmallInstance) {
@@ -147,13 +147,13 @@ TEST(Mda, MatchesBruteForceOnSmallInstance) {
           best_mean = vec::mean_of(g, idx);
         }
       }
-  EXPECT_TRUE(vec::approx_equal(agg.aggregate(g), best_mean, 1e-12));
+  EXPECT_TRUE(vec::approx_equal(support::aggregate(agg, g), best_mean, 1e-12));
 }
 
 TEST(CoordinateMedian, ExactOnKnownInput) {
   CoordinateMedian agg(3, 1);
   const std::vector<Vector> g{{1.0, 10.0}, {2.0, -5.0}, {100.0, 0.0}};
-  EXPECT_EQ(agg.aggregate(g), (Vector{2.0, 0.0}));
+  EXPECT_EQ(support::aggregate(agg, g), (Vector{2.0, 0.0}));
 }
 
 TEST(CoordinateMedian, AdmissibilityBoundary) {
@@ -165,7 +165,7 @@ TEST(TrimmedMean, DropsExtremesPerCoordinate) {
   TrimmedMean agg(5, 1);
   const std::vector<Vector> g{{0.0}, {1.0}, {2.0}, {3.0}, {1000.0}};
   // Drop 0 and 1000, average {1,2,3} = 2.
-  EXPECT_EQ(agg.aggregate(g), (Vector{2.0}));
+  EXPECT_EQ(support::aggregate(agg, g), (Vector{2.0}));
 }
 
 TEST(TrimmedMean, ScalarHelperValidates) {
@@ -187,7 +187,10 @@ TEST(Bulyan, RequiresLargeN) {
 TEST(Bulyan, SelectsThetaIndices) {
   Bulyan agg(7, 1);
   auto g = cluster_plus_outlier(6, 1, 100.0);
-  const auto sel = agg.select_indices(g);
+  const GradientBatch batch = GradientBatch::from_vectors(g);
+  AggregatorWorkspace ws;
+  agg.select_indices_view(batch, ws);
+  const auto& sel = ws.selected;
   EXPECT_EQ(sel.size(), 5u);  // theta = n - 2f
   // The far outlier (index 6) must not be selected.
   for (size_t i : sel) EXPECT_LT(i, 6u);
@@ -196,7 +199,7 @@ TEST(Bulyan, SelectsThetaIndices) {
 TEST(Bulyan, RobustToOutliers) {
   Bulyan agg(11, 2);
   auto g = cluster_plus_outlier(9, 2, 100.0);
-  const Vector out = agg.aggregate(g);
+  const Vector out = support::aggregate(agg, g);
   EXPECT_NEAR(out[0], 1.0, 0.1);
   EXPECT_NEAR(out[1], 1.0, 0.1);
 }
@@ -205,31 +208,34 @@ TEST(Meamed, MeanAroundMedianExact) {
   Meamed agg(3, 1);
   const std::vector<Vector> g{{0.0}, {1.0}, {100.0}};
   // median 1; two closest values {0, 1} -> mean 0.5.
-  EXPECT_EQ(agg.aggregate(g), (Vector{0.5}));
+  EXPECT_EQ(support::aggregate(agg, g), (Vector{0.5}));
 }
 
 TEST(Phocas, MeanAroundTrimmedMeanExact) {
   Phocas agg(3, 1);
   const std::vector<Vector> g{{0.0}, {1.0}, {100.0}};
   // trimmed mean (drop 0 and 100) = 1; closest two {0,1} -> 0.5.
-  EXPECT_EQ(agg.aggregate(g), (Vector{0.5}));
+  EXPECT_EQ(support::aggregate(agg, g), (Vector{0.5}));
 }
 
 TEST(Cge, KeepsSmallestNormGradients) {
   Cge agg(3, 1);
   const std::vector<Vector> g{{1.0, 0.0}, {0.0, 2.0}, {100.0, 100.0}};
-  const auto sel = agg.select_indices(g);
+  const GradientBatch batch = GradientBatch::from_vectors(g);
+  AggregatorWorkspace ws;
+  agg.select_indices_view(batch, ws);
+  const auto& sel = ws.selected;
   EXPECT_EQ(sel.size(), 2u);
   // Norms 1, 2, 141: keep indices {0, 1}.
   EXPECT_EQ(sel[0], 0u);
   EXPECT_EQ(sel[1], 1u);
-  EXPECT_EQ(agg.aggregate(g), (Vector{0.5, 1.0}));
+  EXPECT_EQ(support::aggregate(agg, g), (Vector{0.5, 1.0}));
 }
 
 TEST(Cge, FiltersLargeNormAttack) {
   Cge agg(11, 5);
   auto g = cluster_plus_outlier(6, 5, 1000.0);
-  const Vector out = agg.aggregate(g);
+  const Vector out = support::aggregate(agg, g);
   EXPECT_NEAR(out[0], 1.0, 0.05);
 }
 
@@ -238,7 +244,7 @@ TEST(Cge, CannotFilterSmallNormAttack) {
   // and always survives norm filtering.  Documents the trade-off.
   Cge agg(3, 1);
   const std::vector<Vector> g{{1.0}, {1.1}, {0.0}};
-  const Vector out = agg.aggregate(g);
+  const Vector out = support::aggregate(agg, g);
   EXPECT_LT(out[0], 1.0);  // dragged toward zero by the surviving attacker
 }
 
@@ -250,7 +256,7 @@ TEST(Cge, AdmissibilityBoundary) {
 TEST(GeometricMedian, MatchesMedianOnCollinearPoints) {
   GeometricMedian agg(3, 1);
   const std::vector<Vector> g{{0.0, 0.0}, {1.0, 0.0}, {10.0, 0.0}};
-  const Vector out = agg.aggregate(g);
+  const Vector out = support::aggregate(agg, g);
   // 1-d geometric median is the (coordinate) median.
   EXPECT_NEAR(out[0], 1.0, 1e-6);
   EXPECT_NEAR(out[1], 0.0, 1e-9);
@@ -259,7 +265,7 @@ TEST(GeometricMedian, MatchesMedianOnCollinearPoints) {
 TEST(GeometricMedian, RobustToMinorityOutliers) {
   GeometricMedian agg(11, 5);
   auto g = cluster_plus_outlier(6, 5, 1e4);
-  const Vector out = agg.aggregate(g);
+  const Vector out = support::aggregate(agg, g);
   EXPECT_NEAR(out[0], 1.0, 0.5);
 }
 
@@ -308,11 +314,11 @@ TEST(Factory, UnknownNameThrows) {
 TEST(Aggregator, RejectsMalformedInputs) {
   Average agg(3, 0);
   std::vector<Vector> wrong_count{{1.0}, {2.0}};
-  EXPECT_THROW(agg.aggregate(wrong_count), std::invalid_argument);
+  EXPECT_THROW(support::aggregate(agg, wrong_count), std::invalid_argument);
   std::vector<Vector> ragged{{1.0}, {2.0}, {3.0, 4.0}};
-  EXPECT_THROW(agg.aggregate(ragged), std::invalid_argument);
+  EXPECT_THROW(support::aggregate(agg, ragged), std::invalid_argument);
   std::vector<Vector> with_nan{{1.0}, {2.0}, {std::nan("")}};
-  EXPECT_THROW(agg.aggregate(with_nan), std::invalid_argument);
+  EXPECT_THROW(support::aggregate(agg, with_nan), std::invalid_argument);
 }
 
 }  // namespace

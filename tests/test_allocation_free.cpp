@@ -79,7 +79,8 @@ size_t steady_state_allocs(const std::string& gar_name, const Mechanism& mechani
   auto one_step = [&](size_t t) {
     const Vector& w = server.parameters();
     for (size_t i = 0; i < n; ++i) workers[i].submit_into(w, submissions.row(i));
-    server.step(submissions, t);
+    server.aggregate_with(server.gar(), submissions);
+    server.apply(t);
   };
 
   size_t t = 1;

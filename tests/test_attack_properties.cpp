@@ -34,7 +34,10 @@ TEST_P(AttackPropertyTest, PreservesDimension) {
     const GradientBatch honest = GradientBatch::from_vectors(honest_sample(6, dim, 1));
     Rng rng(9);
     const AttackContext ctx{honest, honest.rows(), 5, 1};
-    EXPECT_EQ(attack->forge(ctx, rng).size(), dim);
+    // Every coordinate of the dim-length row is written.
+    Vector forged(dim, std::nan(""));
+    attack->forge_into(ctx, rng, forged);
+    EXPECT_TRUE(vec::all_finite(forged)) << "dim=" << dim;
   }
 }
 
@@ -44,7 +47,9 @@ TEST_P(AttackPropertyTest, ProducesFiniteVectors) {
     const GradientBatch honest = GradientBatch::from_vectors(honest_sample(6, 10, seed));
     Rng rng(seed);
     const AttackContext ctx{honest, honest.rows(), 5, 1};
-    EXPECT_TRUE(vec::all_finite(attack->forge(ctx, rng)));
+    Vector forged(ctx.observed.dim());
+    attack->forge_into(ctx, rng, forged);
+    EXPECT_TRUE(vec::all_finite(forged));
   }
 }
 
@@ -53,7 +58,10 @@ TEST_P(AttackPropertyTest, DeterministicGivenRngState) {
   const GradientBatch honest = GradientBatch::from_vectors(honest_sample(6, 8, 4));
   Rng a(7), b(7);
   const AttackContext ctx{honest, honest.rows(), 5, 3};
-  EXPECT_EQ(attack->forge(ctx, a), attack->forge(ctx, b));
+  Vector from_a(ctx.observed.dim()), from_b(ctx.observed.dim());
+  attack->forge_into(ctx, a, from_a);
+  attack->forge_into(ctx, b, from_b);
+  EXPECT_EQ(from_a, from_b);
 }
 
 TEST_P(AttackPropertyTest, NameRoundTripsThroughFactory) {
@@ -66,7 +74,8 @@ TEST_P(AttackPropertyTest, SingleHonestGradientIsHandled) {
   const GradientBatch honest = GradientBatch::from_vectors(honest_sample(1, 5, 2));
   Rng rng(1);
   const AttackContext ctx{honest, honest.rows(), 1, 1};
-  const Vector forged = attack->forge(ctx, rng);
+  Vector forged(ctx.observed.dim());
+  attack->forge_into(ctx, rng, forged);
   EXPECT_EQ(forged.size(), 5u);
   EXPECT_TRUE(vec::all_finite(forged));
 }
@@ -85,8 +94,10 @@ TEST(AttackScaling, LittleOffsetScalesWithNu) {
   const GradientBatch observed = GradientBatch::from_vectors(honest);
   Rng rng(1);
   const AttackContext ctx{observed, observed.rows(), 5, 1};
-  const Vector weak = make_attack("little", 0.5)->forge(ctx, rng);
-  const Vector strong = make_attack("little", 2.0)->forge(ctx, rng);
+  Vector weak(ctx.observed.dim());
+  make_attack("little", 0.5)->forge_into(ctx, rng, weak);
+  Vector strong(ctx.observed.dim());
+  make_attack("little", 2.0)->forge_into(ctx, rng, strong);
   EXPECT_NEAR(vec::dist(strong, mean) / vec::dist(weak, mean), 4.0, 1e-9);
 }
 
@@ -102,7 +113,8 @@ TEST(AttackScaling, EmpireNuOneIsExactZero) {
   const GradientBatch observed = GradientBatch::from_vectors(honest);
   Rng rng(1);
   const AttackContext ctx{observed, observed.rows(), 2, 1};
-  const Vector forged = make_attack("empire", 1.0)->forge(ctx, rng);
+  Vector forged(ctx.observed.dim());
+  make_attack("empire", 1.0)->forge_into(ctx, rng, forged);
   EXPECT_TRUE(vec::approx_equal(forged, vec::zeros(3), 1e-12));
 }
 
@@ -117,7 +129,10 @@ TEST(AttackScaling, RandomAttackVariesAcrossCalls) {
   const GradientBatch observed = GradientBatch::from_vectors(honest);
   Rng rng(5);
   const AttackContext ctx{observed, observed.rows(), 2, 1};
-  EXPECT_NE(attack->forge(ctx, rng), attack->forge(ctx, rng));
+  Vector first(ctx.observed.dim()), second(ctx.observed.dim());
+  attack->forge_into(ctx, rng, first);
+  attack->forge_into(ctx, rng, second);
+  EXPECT_NE(first, second);
 }
 
 }  // namespace

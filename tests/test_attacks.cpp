@@ -29,7 +29,8 @@ TEST(ALittleIsEnough, ForgesMeanMinusNuSigma) {
   const GradientBatch observed = GradientBatch::from_vectors(honest);
   ALittleIsEnough attack(1.5);
   Rng rng(1);
-  const Vector forged = attack.forge(ctx_of(observed), rng);
+  Vector forged(observed.dim());
+  attack.forge_into(ctx_of(observed), rng, forged);
   const double sigma0 = std::sqrt(2.0 / 3.0);
   EXPECT_NEAR(forged[0], 1.0 - 1.5 * sigma0, 1e-12);
   EXPECT_NEAR(forged[1], 2.0, 1e-12);  // zero spread coordinate unchanged
@@ -59,7 +60,8 @@ TEST(ALittleIsEnough, StaysWithinHonestSpread) {
   const GradientBatch observed = GradientBatch::from_vectors(honest);
   ALittleIsEnough attack(1.5);
   Rng rng(1);
-  const Vector forged = attack.forge(ctx_of(observed), rng);
+  Vector forged(observed.dim());
+  attack.forge_into(ctx_of(observed), rng, forged);
   const Vector mean = stats::coordinate_mean(honest);
   const Vector sd = stats::coordinate_stddev(honest);
   for (size_t c = 0; c < 4; ++c)
@@ -71,7 +73,8 @@ TEST(FallOfEmpires, ForgesOneMinusNuTimesMean) {
   const GradientBatch observed = GradientBatch::from_vectors(honest);
   FallOfEmpires attack(1.1);
   Rng rng(1);
-  const Vector forged = attack.forge(ctx_of(observed), rng);
+  Vector forged(observed.dim());
+  attack.forge_into(ctx_of(observed), rng, forged);
   EXPECT_NEAR(forged[0], -0.1 * 1.0, 1e-12);
   EXPECT_NEAR(forged[1], -0.1 * 2.0, 1e-12);
 }
@@ -86,7 +89,8 @@ TEST(FallOfEmpires, NegatesInnerProductForNuAboveOne) {
   const Vector mean = stats::coordinate_mean(honest);
   FallOfEmpires attack(1.1);
   Rng rng(1);
-  const Vector forged = attack.forge(ctx_of(observed), rng);
+  Vector forged(observed.dim());
+  attack.forge_into(ctx_of(observed), rng, forged);
   EXPECT_LT(vec::dot(forged, mean), 0.0);
 }
 
@@ -95,7 +99,9 @@ TEST(SignFlip, OppositeOfMean) {
   const GradientBatch observed = GradientBatch::from_vectors(honest);
   SignFlip attack(2.0);
   Rng rng(1);
-  EXPECT_EQ(attack.forge(ctx_of(observed), rng), (Vector{-2.0, -4.0}));
+  Vector forged(observed.dim());
+  attack.forge_into(ctx_of(observed), rng, forged);
+  EXPECT_EQ(forged, (Vector{-2.0, -4.0}));
 }
 
 TEST(ZeroGradient, AllZeros) {
@@ -103,7 +109,9 @@ TEST(ZeroGradient, AllZeros) {
   const GradientBatch observed = GradientBatch::from_vectors(honest);
   ZeroGradient attack;
   Rng rng(1);
-  EXPECT_EQ(attack.forge(ctx_of(observed), rng), vec::zeros(2));
+  Vector forged(observed.dim(), 1.0);
+  attack.forge_into(ctx_of(observed), rng, forged);
+  EXPECT_EQ(forged, vec::zeros(2));
 }
 
 TEST(Mimic, CopiesFirstHonest) {
@@ -111,7 +119,9 @@ TEST(Mimic, CopiesFirstHonest) {
   const GradientBatch observed = GradientBatch::from_vectors(honest);
   Mimic attack;
   Rng rng(1);
-  EXPECT_EQ(attack.forge(ctx_of(observed), rng), honest[0]);
+  Vector forged(observed.dim());
+  attack.forge_into(ctx_of(observed), rng, forged);
+  EXPECT_EQ(forged, honest[0]);
 }
 
 TEST(RandomGaussian, HasRequestedSpread) {
@@ -121,7 +131,8 @@ TEST(RandomGaussian, HasRequestedSpread) {
   Rng rng(7);
   stats::RunningStat s;
   for (int i = 0; i < 5000; ++i) {
-    const Vector v = attack.forge(ctx_of(observed), rng);
+    Vector v(observed.dim());
+    attack.forge_into(ctx_of(observed), rng, v);
     s.push(v[0]);
     s.push(v[1]);
   }
@@ -142,7 +153,8 @@ TEST(AttackFactory, RespectsExplicitNu) {
   const auto honest = sample_honest();
   const GradientBatch observed = GradientBatch::from_vectors(honest);
   Rng rng(1);
-  const Vector forged = little->forge(ctx_of(observed), rng);
+  Vector forged(observed.dim());
+  little->forge_into(ctx_of(observed), rng, forged);
   const double sigma0 = std::sqrt(2.0 / 3.0);
   EXPECT_NEAR(forged[0], 1.0 - 2.5 * sigma0, 1e-12);
 }
@@ -155,9 +167,10 @@ TEST(Attacks, EmptyHonestSetThrows) {
   const GradientBatch none;
   Rng rng(1);
   const AttackContext ctx{none, 0, 5, 1};
-  EXPECT_THROW(ALittleIsEnough().forge(ctx, rng), std::invalid_argument);
-  EXPECT_THROW(FallOfEmpires().forge(ctx, rng), std::invalid_argument);
-  EXPECT_THROW(SignFlip().forge(ctx, rng), std::invalid_argument);
+  Vector out;
+  EXPECT_THROW(ALittleIsEnough().forge_into(ctx, rng, out), std::invalid_argument);
+  EXPECT_THROW(FallOfEmpires().forge_into(ctx, rng, out), std::invalid_argument);
+  EXPECT_THROW(SignFlip().forge_into(ctx, rng, out), std::invalid_argument);
 }
 
 TEST(Attacks, ValidateConstruction) {

@@ -8,6 +8,8 @@
 #include "core/experiment.hpp"
 #include "core/trainer.hpp"
 
+#include "aggregate.hpp"
+
 namespace dpbyz {
 namespace {
 
@@ -142,7 +144,7 @@ TEST(FailureHardening, NonFiniteByzantineGradientIsRejectedLoudly) {
   // rather than propagate poison into the model.
   auto gar = make_aggregator("mda", 3, 1);
   std::vector<Vector> grads{{1.0, 1.0}, {1.0, 1.0}, {std::nan(""), 0.0}};
-  EXPECT_THROW(gar->aggregate(grads), std::invalid_argument);
+  EXPECT_THROW(support::aggregate(*gar, grads), std::invalid_argument);
 }
 
 TEST(FailureHardening, TrainerRejectsEmptyTrainingSet) {

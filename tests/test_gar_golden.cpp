@@ -1,6 +1,6 @@
 // Golden tests for the GradientBatch refactor: every GAR's view-based
 // kernel must produce BIT-IDENTICAL output to the seed implementation
-// (preserved in aggregation/reference_gars.hpp) — same doubles, same
+// (preserved in tests/support/reference_gars.hpp) — same doubles, same
 // tie-breaks — on seeded random and adversarial inputs.  Exact equality
 // (EXPECT_EQ on the vectors) is deliberate: the refactor's contract is
 // "same arithmetic, new memory layout", not "close enough".
@@ -88,9 +88,6 @@ void expect_bit_identical(const std::string& name, size_t n, size_t f,
   const Vector want = reference_aggregate(name, inputs, n, f);
   EXPECT_EQ(got, want) << name << " diverges from the seed implementation on " << label
                        << " inputs (n=" << n << ", f=" << f << ")";
-
-  // The legacy span overload must route through the same kernel.
-  EXPECT_EQ(agg->aggregate(inputs), want) << name << " legacy path on " << label;
 }
 
 TEST_P(GarGoldenTest, BitIdenticalOnSeededRandomInputs) {
@@ -142,7 +139,7 @@ TEST_P(GarGoldenTest, WorkspaceReuseIsStateless) {
 INSTANTIATE_TEST_SUITE_P(AllGars, GarGoldenTest, ::testing::ValuesIn(aggregator_names()));
 
 TEST(GarGolden, KrumScoresReferenceMatchesMatrixPath) {
-  // The free krum_scores function is the reference; the matrix path must
+  // The seed's krum_scores is the reference; the matrix path must
   // reproduce it exactly, including on shrunken Bulyan-style pools.
   const auto inputs = adversarial_inputs(11, 2, 13, 9);
   const GradientBatch batch = GradientBatch::from_vectors(inputs);
@@ -154,7 +151,7 @@ TEST(GarGolden, KrumScoresReferenceMatchesMatrixPath) {
   std::vector<double> scores(11);
   std::vector<double> scratch;
   krum_scores_from_matrix(dist, 11, active, 2, scores, scratch);
-  EXPECT_EQ(scores, krum_scores(inputs, 2));
+  EXPECT_EQ(scores, reference::krum_scores(inputs, 2));
 
   // Shrunken pool {0, 2, 3, 7, 9}: reference recomputes from vectors.
   const std::vector<size_t> pool{0, 2, 3, 7, 9};
@@ -162,15 +159,19 @@ TEST(GarGolden, KrumScoresReferenceMatchesMatrixPath) {
   for (size_t i : pool) pool_vectors.push_back(inputs[i]);
   std::vector<double> pool_scores(pool.size());
   krum_scores_from_matrix(dist, 11, pool, 2, pool_scores, scratch);
-  EXPECT_EQ(pool_scores, krum_scores(pool_vectors, 2));
+  EXPECT_EQ(pool_scores, reference::krum_scores(pool_vectors, 2));
 }
 
 TEST(GarGolden, SelectionHelpersMatchReference) {
   const auto inputs = adversarial_inputs(25, 5, 9, 11);
+  const GradientBatch batch = GradientBatch::from_vectors(inputs);
+  AggregatorWorkspace ws;
   const Mda mda(25, 5);
-  EXPECT_EQ(mda.select_subset(inputs), reference::mda_select(inputs, 5));
+  mda.select_subset_view(batch, ws);
+  EXPECT_EQ(ws.selected, reference::mda_select(inputs, 5));
   const Bulyan bulyan(25, 5);
-  EXPECT_EQ(bulyan.select_indices(inputs), reference::bulyan_select(inputs, 25, 5));
+  bulyan.select_indices_view(batch, ws);
+  EXPECT_EQ(ws.selected, reference::bulyan_select(inputs, 25, 5));
 }
 
 }  // namespace

@@ -223,15 +223,5 @@ TEST(PairwiseDistSq, BitIdenticalToScalarKernel) {
       EXPECT_EQ(out[i * 40 + j], vec::dist_sq(vs[i], vs[j])) << i << "," << j;
 }
 
-TEST(PairwiseDistSq, ParallelMatchesSerial) {
-  // Big enough to clear the kernel's parallel-dispatch threshold.
-  const auto vs = random_vectors(60, 10000, 7);
-  const GradientBatch batch = GradientBatch::from_vectors(vs);
-  std::vector<double> serial(60 * 60), parallel(60 * 60);
-  pairwise_dist_sq(batch, serial, 1);
-  pairwise_dist_sq(batch, parallel, 4);
-  EXPECT_EQ(serial, parallel);
-}
-
 }  // namespace
 }  // namespace dpbyz

@@ -18,6 +18,8 @@
 #include "math/gradient_batch.hpp"
 #include "math/rng.hpp"
 
+#include "aggregate.hpp"
+
 namespace dpbyz {
 namespace {
 
@@ -31,12 +33,6 @@ GradientBatch honest_batch(size_t n, size_t d, uint64_t seed) {
     batch.row(i)[0] += 2.0;
   }
   return batch;
-}
-
-Vector aggregate_with(const Aggregator& agg, const GradientBatch& batch) {
-  AggregatorWorkspace ws;
-  const auto view = agg.aggregate(batch, ws);
-  return Vector(view.begin(), view.end());
 }
 
 // ---- L = 1 goldens: the two-level split, pinned ---------------------------
@@ -146,7 +142,7 @@ void expect_l1_matches_pins(const std::vector<PinnedAggregate>& pins, bool dupli
     for (const size_t threads : {1, 4}) {
       const HierarchicalAggregator tree(names[i], "median", 21, 2, /*levels=*/1,
                                         /*branch=*/3, threads);
-      EXPECT_EQ(aggregate_with(tree, batch), pins[i].want)
+      EXPECT_EQ(support::aggregate(tree, batch), pins[i].want)
           << "L=1 tree " << names[i] << " diverged from its pin (threads " << threads << ")";
     }
   }
@@ -173,8 +169,8 @@ TEST(HierarchicalGolden, B1BitIdenticalToFlatForEveryRule) {
   for (const std::string& gar : aggregator_names()) {
     const HierarchicalAggregator tree(gar, "median", n, f, 1, 1);
     const auto flat = make_aggregator(gar, n, f);
-    EXPECT_EQ(aggregate_with(tree, random), aggregate_with(*flat, random)) << gar;
-    EXPECT_EQ(aggregate_with(tree, duplicates), aggregate_with(*flat, duplicates)) << gar;
+    EXPECT_EQ(support::aggregate(tree, random), support::aggregate(*flat, random)) << gar;
+    EXPECT_EQ(support::aggregate(tree, duplicates), support::aggregate(*flat, duplicates)) << gar;
   }
 }
 
@@ -188,10 +184,10 @@ TEST(HierarchicalGolden, ThreadedDispatchMatchesSerialBitForBit) {
   // threads = 0 means hardware concurrency — the parallel path, not a
   // silent fallback to serial.
   const HierarchicalAggregator hw_threads("krum", "median", n, f, 2, 3, /*threads=*/0);
-  const Vector want = aggregate_with(serial, batch);
+  const Vector want = support::aggregate(serial, batch);
   for (int rep = 0; rep < 3; ++rep) {
-    EXPECT_EQ(aggregate_with(threaded, batch), want);
-    EXPECT_EQ(aggregate_with(hw_threads, batch), want);
+    EXPECT_EQ(support::aggregate(threaded, batch), want);
+    EXPECT_EQ(support::aggregate(hw_threads, batch), want);
   }
 }
 
@@ -208,12 +204,12 @@ TEST(HierarchicalGolden, IdealFramedLinkStaysBitIdentical) {
     const HierarchicalAggregator plain(gar, "median", n, f, 1, 3);
     EXPECT_TRUE(framed.framed());
     EXPECT_FALSE(plain.framed());
-    EXPECT_EQ(aggregate_with(framed, batch), aggregate_with(plain, batch)) << gar;
+    EXPECT_EQ(support::aggregate(framed, batch), support::aggregate(plain, batch)) << gar;
   }
   // The ideal link still pushes real frames: stats count them.
   const HierarchicalAggregator framed("median", "median", n, f, 1, 3, 1,
                                       PruneMode::kOff, &link);
-  aggregate_with(framed, batch);
+  support::aggregate(framed, batch);
   const net::ChannelStats stats = framed.channel_stats();
   EXPECT_EQ(stats.frames_sent, 3u);  // one chunk per child edge at d = 23
   EXPECT_EQ(stats.frames_delivered, 3u);
@@ -350,7 +346,7 @@ TEST(HierarchicalResilience, UpperMergeAbsorbsAnOverwhelmedLeaf) {
   GradientBatch batch = honest_batch(27, 16, 19);
   poison(batch, {0, 1, 2}, 1e6);
   const HierarchicalAggregator tree("median", "median", 27, 3, 2, 3);
-  expect_in_honest_envelope(aggregate_with(tree, batch), batch, {0, 1, 2});
+  expect_in_honest_envelope(support::aggregate(tree, batch), batch, {0, 1, 2});
 }
 
 TEST(HierarchicalResilience, L1MergeAbsorbsAFullyCorruptedChild) {
@@ -364,11 +360,11 @@ TEST(HierarchicalResilience, L1MergeAbsorbsAFullyCorruptedChild) {
   ASSERT_EQ(tree.child_f(), 1u);
   ASSERT_EQ(tree.merge_f(), 1u);
   const auto [lo0, hi0] = tree.child_range(0);
-  const Vector child0 = aggregate_with(tree.child(0), batch.view(lo0, hi0));
+  const Vector child0 = support::aggregate(tree.child(0), batch.view(lo0, hi0));
   double honest_max = -1e18;
   for (size_t i = 2; i < 16; ++i) honest_max = std::max(honest_max, batch.row(i)[0]);
   EXPECT_GT(child0[0], honest_max) << "child 0 should have escaped the honest envelope";
-  expect_in_honest_envelope(aggregate_with(tree, batch), batch, {0, 1});
+  expect_in_honest_envelope(support::aggregate(tree, batch), batch, {0, 1});
 }
 
 TEST(HierarchicalResilience, L1ConcentratedAndSpreadByzantinePlacements) {
@@ -379,7 +375,7 @@ TEST(HierarchicalResilience, L1ConcentratedAndSpreadByzantinePlacements) {
   poison(concentrated, {0, 1}, 1e6);
   for (const char* inner : {"krum", "median", "mda"}) {
     const HierarchicalAggregator tree(inner, "median", 24, 2, 1, 4);
-    expect_in_honest_envelope(aggregate_with(tree, concentrated), concentrated, {0, 1},
+    expect_in_honest_envelope(support::aggregate(tree, concentrated), concentrated, {0, 1},
                               inner);
   }
   // Spread: one Byzantine row in child 0 and one in child 2 (rows
@@ -388,7 +384,7 @@ TEST(HierarchicalResilience, L1ConcentratedAndSpreadByzantinePlacements) {
   GradientBatch spread = honest_batch(24, 16, 22);
   poison(spread, {3, 14}, -1e6);
   const HierarchicalAggregator tree("median", "median", 24, 2, 1, 4);
-  expect_in_honest_envelope(aggregate_with(tree, spread), spread, {3, 14});
+  expect_in_honest_envelope(support::aggregate(tree, spread), spread, {3, 14});
 }
 
 TEST(HierarchicalWeightedMerge, UnevenSubtreesTrackTheFlatAverage) {
@@ -399,9 +395,9 @@ TEST(HierarchicalWeightedMerge, UnevenSubtreesTrackTheFlatAverage) {
   const GradientBatch batch = honest_batch(n, d, 40);
   const HierarchicalAggregator tree("average", "average", n, 0, 2, 3);
   EXPECT_TRUE(tree.weighted_merge());
-  const Vector got = aggregate_with(tree, batch);
+  const Vector got = support::aggregate(tree, batch);
   const auto flat = make_aggregator("average", n, 0);
-  const Vector want = aggregate_with(*flat, batch);
+  const Vector want = support::aggregate(*flat, batch);
   EXPECT_TRUE(vec::approx_equal(got, want, 1e-13))
       << "subtree-weighted tree average diverged from the flat average";
 }
@@ -419,9 +415,9 @@ TEST(HierarchicalWeightedMerge, L1UnevenAverageMatchesPinnedOutputs) {
   for (const size_t threads : {1, 4}) {
     const HierarchicalAggregator ten("average", "average", 10, 0, 1, 3, threads);
     EXPECT_TRUE(ten.weighted_merge());
-    EXPECT_EQ(aggregate_with(ten, honest_batch(10, 5, 40)), want10) << threads;
+    EXPECT_EQ(support::aggregate(ten, honest_batch(10, 5, 40)), want10) << threads;
     const HierarchicalAggregator wide("average", "average", 22, 0, 1, 4, threads);
-    EXPECT_EQ(aggregate_with(wide, honest_batch(22, 5, 41)), want22) << threads;
+    EXPECT_EQ(support::aggregate(wide, honest_batch(22, 5, 41)), want22) << threads;
   }
 }
 
@@ -435,9 +431,9 @@ TEST(HierarchicalWeightedMerge, ExactlyRepresentableInputsAreBitEqualToFlat) {
     for (size_t i = 2; i < 5; ++i) batch.row(i)[c] = 0.0;  // child 1: rows 2-4
   }
   const HierarchicalAggregator tree("average", "average", 5, 0, 1, 2);
-  const Vector got = aggregate_with(tree, batch);
+  const Vector got = support::aggregate(tree, batch);
   const auto flat = make_aggregator("average", 5, 0);
-  EXPECT_EQ(got, aggregate_with(*flat, batch));  // (2*1 + 3*0)/5 = 0.4
+  EXPECT_EQ(got, support::aggregate(*flat, batch));  // (2*1 + 3*0)/5 = 0.4
   EXPECT_EQ(got[0], 0.4);
   EXPECT_NE(got[0], 0.5);  // (1 + 0)/2, the unweighted mean of child means
 }
@@ -616,7 +612,7 @@ TEST(HierarchicalChannel, SubstitutionsWithinMergeBudgetDegradeElseThrow) {
                                       PruneMode::kOff, &link);
     ASSERT_EQ(tree.merge_f(), 2u);
     try {
-      const Vector out = aggregate_with(tree, batch);
+      const Vector out = support::aggregate(tree, batch);
       ++degraded;
       EXPECT_LE(tree.channel_stats().rows_substituted, 2u) << "seed " << seed;
       EXPECT_TRUE(vec::all_finite(out));
@@ -643,12 +639,12 @@ TEST(HierarchicalChannel, Int8EdgesStayWithinTheQuantizationContract) {
   const HierarchicalAggregator framed("average", "average", n, 0, 1, 3, 1,
                                       PruneMode::kOff, &link);
   const HierarchicalAggregator plain("average", "average", n, 0, 1, 3);
-  const Vector got = aggregate_with(framed, batch);
-  const Vector want = aggregate_with(plain, batch);
+  const Vector got = support::aggregate(framed, batch);
+  const Vector want = support::aggregate(plain, batch);
   double max_child_inf = 0.0;
   for (size_t b = 0; b < plain.branch(); ++b) {
     const auto [lo, hi] = plain.child_range(b);
-    const Vector child = aggregate_with(plain.child(b), batch.view(lo, hi));
+    const Vector child = support::aggregate(plain.child(b), batch.view(lo, hi));
     max_child_inf = std::max(max_child_inf, vec::norm_inf(child));
   }
   const double bound = max_child_inf / 254.0 + 1e-15;

@@ -4,12 +4,11 @@
 //     |fast - scalar| <= 2 * d * eps * sum|term| on random, adversarial
 //     (cancellation-heavy) and denormal-heavy inputs;
 //   * elementwise kernels (axpy, scale) bit-identical in both modes;
-//   * fast-mode determinism: reruns bit-equal, and pairwise_dist_sq
-//     bit-equal at every thread width (these run under the TSAN CI job);
+//   * fast-mode determinism: reruns bit-equal;
 //   * the pairwise block kernel (lanes across pairs): every matrix entry
 //     bit-equal to the seed's single-pair loop on every block shape, on
-//     row views, on both backends, in both modes and at 1 and 4 threads,
-//     and distinguishable from an FMA-accumulated sum;
+//     multi-tile shapes, on row views, on both backends and in both
+//     modes, and distinguishable from an FMA-accumulated sum;
 //   * the dispatch plumbing itself: MathModeScope restore semantics, the
 //     scalar default, and the ExperimentConfig::fast_math knob driving a
 //     deterministic (and scalar-defaulting) trainer;
@@ -207,37 +206,6 @@ TEST(MathKernels, VecEntryPointsDispatchOnTheMode) {
   EXPECT_LE(std::abs(fast - scalar), reassociation_bound(d, scalar));
 }
 
-// ---- pairwise kernel: fast-mode determinism at every thread width ----------
-
-// Runs under the TSAN CI job (the filter lists MathKernelsThreaded* —
-// only this suite, not the serial MathKernels tests): the threads > 1
-// widths dispatch tiles on the shared ThreadPool.
-TEST(MathKernelsThreaded, PairwiseFastModeBitIdenticalAcrossThreadWidths) {
-  // n(n-1)/2 * d = 780 * 22000 = 17.16M pair-coordinates: above the
-  // 2^24 (= 16.78M) parallel-dispatch threshold, so the threads > 1
-  // widths genuinely run the fast kernel on the ThreadPool (a smaller
-  // extent would silently compare the serial branch against itself).
-  const size_t n = 40, d = 22000;
-  GradientBatch batch(n, d);
-  Rng rng(77);
-  for (size_t i = 0; i < n; ++i) {
-    Vector v = rng.normal_vector(d, 1.0);
-    batch.set_row(i, v);
-  }
-  kernels::MathModeScope scope(kernels::MathMode::kFast);
-  std::vector<double> serial(n * n);
-  pairwise_dist_sq(batch, serial, 1);
-  for (size_t threads : {2u, 4u, 8u}) {
-    std::vector<double> threaded(n * n, -1.0);
-    pairwise_dist_sq(batch, threaded, threads);
-    ASSERT_EQ(threaded, serial) << "threads = " << threads;
-  }
-  // Rerun at width 1: fast mode is deterministic, not merely consistent.
-  std::vector<double> rerun(n * n);
-  pairwise_dist_sq(batch, rerun, 1);
-  EXPECT_EQ(rerun, serial);
-}
-
 // ---- runtime ISA dispatch ---------------------------------------------------
 
 /// RAII backend override that restores the previous selection, so these
@@ -426,12 +394,10 @@ TEST(MathKernels, PairwiseOnCancellationHeavyRowsIsTheSeedLoopNotAnFma) {
   }
 }
 
-// Runs under the TSAN CI job with the other MathKernelsThreaded tests.
-TEST(MathKernelsThreaded, PairwiseBitIdenticalToSeedLoopAtOneAndFourThreads) {
-  // Both shapes clear the 2^24 parallel-dispatch threshold, so the
-  // 4-thread call really runs its tiles on the ThreadPool: 780 pairs *
-  // 22000 = 17.16M pair-coordinates over ten 4-row tiles, and
-  // 499500 pairs * 40 = 19.98M at n = 1000 over two wide tiles.
+TEST(MathKernels, PairwiseBitIdenticalToSeedLoopOnMultiTileShapes) {
+  // Both shapes split the pair loop into several 256 KiB tiles: d = 22000
+  // gives ten 4-row tiles at n = 40, and d = 40 two wide tiles at
+  // n = 1000, so pairs cross tile boundaries in both directions.
   const std::pair<size_t, size_t> shapes[] = {{40, 22000}, {1000, 40}};
   for (const auto& [n, d] : shapes) {
     const GradientBatch batch = random_batch(n, d, 78);
@@ -441,12 +407,9 @@ TEST(MathKernelsThreaded, PairwiseBitIdenticalToSeedLoopAtOneAndFourThreads) {
         reference[i * n + j] = reference[j * n + i] = seed_dist_sq(batch.row(i), batch.row(j));
     for (kernels::FastBackend backend : supported_backends()) {
       BackendScope scope(backend);
-      for (size_t threads : {1u, 4u}) {
-        std::vector<double> out(n * n, -1.0);
-        pairwise_dist_sq(batch, out, threads);
-        ASSERT_EQ(out, reference) << kernels::fast_backend() << " n = " << n
-                                  << " threads = " << threads;
-      }
+      std::vector<double> out(n * n, -1.0);
+      pairwise_dist_sq(batch, out);
+      ASSERT_EQ(out, reference) << kernels::fast_backend() << " n = " << n;
     }
   }
 }

@@ -13,6 +13,7 @@
 #include "aggregation/mda.hpp"
 #include "math/rng.hpp"
 
+#include "aggregate.hpp"
 #include "reference_gars.hpp"
 
 namespace dpbyz {
@@ -90,10 +91,11 @@ std::vector<Vector> make_rows(Shape shape, size_t n, size_t f, size_t d, Rng& rn
 /// description or "" when both are bit-identical.
 std::string mismatch(const std::vector<Vector>& rows, size_t f) {
   const Mda mda(rows.size(), f);
-  const auto got = mda.select_subset(rows);
-  const auto want = reference::mda_select(rows, f);
-  if (got != want) return "subset differs";
-  if (mda.aggregate(rows) != reference::mda(rows, f)) return "aggregate differs";
+  const GradientBatch batch = GradientBatch::from_vectors(rows);
+  AggregatorWorkspace ws;
+  mda.select_subset_view(batch, ws);
+  if (ws.selected != reference::mda_select(rows, f)) return "subset differs";
+  if (support::aggregate(mda, batch) != reference::mda(rows, f)) return "aggregate differs";
   return "";
 }
 

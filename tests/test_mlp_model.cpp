@@ -44,7 +44,8 @@ TEST_P(MlpGradientTest, BackpropMatchesFiniteDifference) {
   // Check at the init point and at a perturbed point.
   Vector w = m.initial_parameters();
   for (int round = 0; round < 2; ++round) {
-    const Vector analytic = m.batch_gradient(w, d, batch);
+    Vector analytic(m.dim());
+    m.batch_gradient_into(w, d, batch, analytic);
     const Vector numeric = numerical_gradient(m, w, d, batch);
     for (size_t i = 0; i < w.size(); ++i)
       EXPECT_NEAR(analytic[i], numeric[i], 1e-5) << "hidden=" << hidden << " coord=" << i;
@@ -90,8 +91,9 @@ TEST(MlpModel, LearnsXorWhichLinearCannot) {
   Vector w = m.initial_parameters();
   const std::vector<size_t> batch{0, 1, 2, 3};
   // Plain full-batch gradient descent.
+  Vector g(m.dim());
   for (int step = 0; step < 4000; ++step) {
-    const Vector g = m.batch_gradient(w, d, batch);
+    m.batch_gradient_into(w, d, batch, g);
     vec::axpy_inplace(w, -2.0, g);
   }
   EXPECT_DOUBLE_EQ(m.accuracy(w, d), 1.0);
@@ -117,14 +119,16 @@ TEST(MlpModel, TrainsThroughTheFullPipeline) {
   EXPECT_GT(r.final_accuracy, 0.8);
 }
 
-TEST(MlpModel, BatchGradientIntoMatchesAllocatingWrapperBitForBit) {
+TEST(MlpModel, BatchGradientIntoOverwritesStaleOutputBitForBit) {
   const MlpModel m(2, 5);
   const Dataset d = xor_like();
   const std::vector<size_t> batch{0, 1, 2, 3};
   const Vector w = m.initial_parameters();
   Vector into(m.dim(), 99.0);  // stale contents must be overwritten
   m.batch_gradient_into(w, d, batch, into);
-  EXPECT_EQ(into, m.batch_gradient(w, d, batch));
+  Vector fresh(m.dim(), 0.0);
+  m.batch_gradient_into(w, d, batch, fresh);
+  EXPECT_EQ(into, fresh);
 }
 
 TEST(MlpModel, ValidatesConstructionAndInputs) {
@@ -133,8 +137,10 @@ TEST(MlpModel, ValidatesConstructionAndInputs) {
   const MlpModel m(3, 2);
   const Dataset d = xor_like();  // 2 features != 3
   const std::vector<size_t> batch{0};
-  EXPECT_THROW(m.batch_gradient(m.initial_parameters(), d, batch), std::invalid_argument);
-  EXPECT_THROW(m.batch_gradient(Vector(3, 0.0), d, batch), std::invalid_argument);
+  Vector g(m.dim());
+  EXPECT_THROW(m.batch_gradient_into(m.initial_parameters(), d, batch, g),
+               std::invalid_argument);
+  EXPECT_THROW(m.batch_gradient_into(Vector(3, 0.0), d, batch, g), std::invalid_argument);
 }
 
 }  // namespace

@@ -56,7 +56,8 @@ TEST_P(LinearModelGradientTest, AnalyticMatchesFiniteDifference) {
   const std::vector<Vector> points{
       {0.0, 0.0, 0.0}, {0.5, -0.3, 0.2}, {-1.0, 2.0, -0.5}};
   for (const Vector& w : points) {
-    const Vector analytic = m.batch_gradient(w, d, batch);
+    Vector analytic(m.dim());
+    m.batch_gradient_into(w, d, batch, analytic);
     const Vector numeric = numerical_gradient(m, w, d, batch);
     for (size_t i = 0; i < w.size(); ++i)
       EXPECT_NEAR(analytic[i], numeric[i], 1e-5)
@@ -94,9 +95,12 @@ TEST(LinearModel, BatchGradientAveragesPerSampleGradients) {
   const Vector w{0.1, 0.2, 0.3};
   const std::vector<size_t> b01{0, 1};
   const std::vector<size_t> b0{0}, b1{1};
-  const Vector g01 = m.batch_gradient(w, d, b01);
-  const Vector g0 = m.batch_gradient(w, d, b0);
-  const Vector g1 = m.batch_gradient(w, d, b1);
+  Vector g01(m.dim());
+  m.batch_gradient_into(w, d, b01, g01);
+  Vector g0(m.dim());
+  m.batch_gradient_into(w, d, b0, g0);
+  Vector g1(m.dim());
+  m.batch_gradient_into(w, d, b1, g1);
   for (size_t i = 0; i < w.size(); ++i)
     EXPECT_NEAR(g01[i], 0.5 * (g0[i] + g1[i]), 1e-12);
 }
@@ -106,7 +110,7 @@ TEST(LinearModel, EmptyBatchThrows) {
   const LinearModel m(2, LinearLoss::kMseOnSigmoid);
   const std::vector<size_t> empty;
   Vector g(3);
-  EXPECT_THROW(m.batch_gradient(Vector(3, 0.0), d, empty), std::invalid_argument);
+  EXPECT_THROW(m.batch_gradient_into(Vector(3, 0.0), d, empty, g), std::invalid_argument);
   EXPECT_THROW(m.batch_loss(Vector(3, 0.0), d, empty), std::invalid_argument);
   EXPECT_THROW(m.batch_loss_and_gradient_into(Vector(3, 0.0), d, empty, g),
                std::invalid_argument);
@@ -118,7 +122,7 @@ TEST(LinearModel, WrongParameterDimensionThrows) {
   const std::vector<size_t> batch{0};
   Vector g(m.dim());
   for (const Vector& w : {Vector(2, 0.0), Vector(4, 0.0)}) {
-    EXPECT_THROW(m.batch_gradient(w, d, batch), std::invalid_argument);
+    EXPECT_THROW(m.batch_gradient_into(w, d, batch, g), std::invalid_argument);
     EXPECT_THROW(m.batch_loss(w, d, batch), std::invalid_argument);
     EXPECT_THROW(m.batch_loss_and_gradient_into(w, d, batch, g), std::invalid_argument);
     EXPECT_THROW(m.accuracy(w, d), std::invalid_argument);
@@ -132,7 +136,7 @@ TEST(LinearModel, WrongFeatureDimensionThrows) {
   Vector g(m.dim());
   for (size_t features : {1u, 3u}) {
     const Dataset d(Matrix(4, features, 1.0), Vector{1.0, 0.0, 1.0, 0.0});
-    EXPECT_THROW(m.batch_gradient(w, d, batch), std::invalid_argument) << features;
+    EXPECT_THROW(m.batch_gradient_into(w, d, batch, g), std::invalid_argument) << features;
     EXPECT_THROW(m.batch_loss(w, d, batch), std::invalid_argument) << features;
     EXPECT_THROW(m.batch_loss_and_gradient_into(w, d, batch, g), std::invalid_argument)
         << features;
@@ -148,7 +152,7 @@ TEST(LinearModel, BatchRowOutOfRangeThrows) {
   // Out-of-range rows in the 4-row block and in the tail alike.
   for (const std::vector<size_t>& batch :
        {std::vector<size_t>{0, 1, 4, 2}, std::vector<size_t>{0, 1, 2, 3, 9}}) {
-    EXPECT_THROW(m.batch_gradient(w, d, batch), std::invalid_argument);
+    EXPECT_THROW(m.batch_gradient_into(w, d, batch, g), std::invalid_argument);
     EXPECT_THROW(m.batch_loss(w, d, batch), std::invalid_argument);
     EXPECT_THROW(m.batch_loss_and_gradient_into(w, d, batch, g), std::invalid_argument);
   }
@@ -168,7 +172,9 @@ TEST(QuadraticModel, GradientIsWMinusBatchMean) {
   const Vector w{1.0, 1.0, 1.0};
   const std::vector<size_t> batch{0, 1};
   // batch mean = (1,1,1); gradient = w - mean = 0.
-  EXPECT_EQ(m.batch_gradient(w, d, batch), (Vector{0.0, 0.0, 0.0}));
+  Vector g(dim, 99.0);
+  m.batch_gradient_into(w, d, batch, g);
+  EXPECT_EQ(g, (Vector{0.0, 0.0, 0.0}));
 }
 
 TEST(QuadraticModel, ExcessLossIsHalfSquaredDistance) {
@@ -185,7 +191,8 @@ TEST(QuadraticModel, GradientMatchesFiniteDifference) {
   QuadraticModel m(cfg.dim, g.mean);
   const std::vector<size_t> batch{0, 3, 7};
   const Vector w{0.5, -0.5, 1.0, 0.0};
-  const Vector analytic = m.batch_gradient(w, g.data, batch);
+  Vector analytic(m.dim());
+  m.batch_gradient_into(w, g.data, batch, analytic);
   const Vector numeric = numerical_gradient(m, w, g.data, batch);
   for (size_t i = 0; i < w.size(); ++i) EXPECT_NEAR(analytic[i], numeric[i], 1e-5);
 }
@@ -197,8 +204,9 @@ TEST(QuadraticModel, AccuracyIsNan) {
 }
 
 TEST(Clipping, LeavesShortVectorsUntouched) {
-  const Vector g{0.3, 0.4};  // norm 0.5
-  EXPECT_EQ(clip_l2(g, 1.0), g);
+  Vector g{0.3, 0.4};  // norm 0.5
+  EXPECT_DOUBLE_EQ(clip_l2_inplace(g, 1.0), 0.5);
+  EXPECT_EQ(g, (Vector{0.3, 0.4}));
 }
 
 TEST(Clipping, ScalesLongVectorsToBound) {
@@ -215,7 +223,7 @@ TEST(Clipping, RejectsNonPositiveBound) {
   EXPECT_THROW(clip_l2_inplace(g, 0.0), std::invalid_argument);
 }
 
-TEST(BatchGradientInto, LinearMatchesAllocatingWrapperBitForBit) {
+TEST(BatchGradientInto, LinearOverwritesStaleOutputBitForBit) {
   const Dataset d = tiny_classification();
   const auto batch = all_rows(d);
   for (LinearLoss loss :
@@ -224,18 +232,22 @@ TEST(BatchGradientInto, LinearMatchesAllocatingWrapperBitForBit) {
     const Vector w{0.5, -0.3, 0.2};
     Vector into(m.dim(), 99.0);  // stale contents must be overwritten
     m.batch_gradient_into(w, d, batch, into);
-    EXPECT_EQ(into, m.batch_gradient(w, d, batch)) << to_string(loss);
+    Vector fresh(m.dim(), 0.0);
+    m.batch_gradient_into(w, d, batch, fresh);
+    EXPECT_EQ(into, fresh) << to_string(loss);
   }
 }
 
-TEST(BatchGradientInto, QuadraticMatchesAllocatingWrapperBitForBit) {
+TEST(BatchGradientInto, QuadraticOverwritesStaleOutputBitForBit) {
   const Dataset d(Matrix::from_rows({{1.0, 2.0}, {3.0, -1.0}, {0.5, 0.5}}), Vector{});
   const QuadraticModel m(2, Vector{0.0, 0.0});
   const std::vector<size_t> batch{0, 1, 2};
   const Vector w{0.25, -0.75};
   Vector into(2, 99.0);
   m.batch_gradient_into(w, d, batch, into);
-  EXPECT_EQ(into, m.batch_gradient(w, d, batch));
+  Vector fresh(2, 0.0);
+  m.batch_gradient_into(w, d, batch, fresh);
+  EXPECT_EQ(into, fresh);
 }
 
 TEST(BatchGradientInto, RejectsWrongOutputDimension) {

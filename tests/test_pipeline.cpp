@@ -268,11 +268,13 @@ TEST(RoundPipelineParticipation, CompactionPreservesRowContents) {
   Rng root(c.seed);
   auto mechanism = make_mechanism(c, task.model.dim());
   Vector expected(task.model.dim(), 0.0);
+  Vector sent(task.model.dim());
   for (size_t i = 0; i < 4; ++i) {
     HonestWorker w(task.model, task.train, c.batch_size, c.clip_norm, *mechanism,
                    root.derive("worker-" + std::to_string(i)), c.clip_enabled,
                    c.worker_momentum);
-    vec::add_inplace(expected, w.submit(task.model.initial_parameters()));
+    w.submit_into(task.model.initial_parameters(), sent);
+    vec::add_inplace(expected, sent);
   }
   vec::scale_inplace(expected, 1.0 / 4.0);
 

@@ -257,9 +257,11 @@ TEST(RoundPipelineRing, SlotRotationPreservesCompactedRows) {
 
   auto fill = [&](size_t live, const Vector& p, double& loss_sum) {
     Vector g(task.model.dim(), 0.0);
+    Vector sent(task.model.dim());
     loss_sum = 0.0;
     for (size_t i = 0; i < live; ++i) {
-      vec::add_inplace(g, workers[i].submit(p));
+      workers[i].submit_into(p, sent);
+      vec::add_inplace(g, sent);
       loss_sum += workers[i].last_batch_loss();
     }
     vec::scale_inplace(g, 1.0 / static_cast<double>(live));

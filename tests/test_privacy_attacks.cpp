@@ -33,7 +33,8 @@ TEST(GradientInversion, RealModelGradientInvertsExactly) {
   const LinearModel model(data.dim(), LinearLoss::kMseOnSigmoid);
   const Vector w(model.dim(), 0.0);
   const std::vector<size_t> batch{13};
-  const Vector g = model.batch_gradient(w, data, batch);
+  Vector g(model.dim());
+  model.batch_gradient_into(w, data, batch, g);
   const auto inv = privacy::invert_single_gradient(g);
   ASSERT_TRUE(inv.has_value());
   EXPECT_LT(privacy::reconstruction_error(inv->reconstructed_features, data.x(13)), 1e-9);
@@ -103,7 +104,8 @@ TEST(GradientInversion, BatchGradientLeaksWeightedCentroid) {
   Vector w(model.dim(), 0.0);
   w[0] = 0.3;  // off-origin so dz varies across samples
   const std::vector<size_t> batch{3, 17, 29};
-  const Vector g = model.batch_gradient(w, data, batch);
+  Vector g(model.dim());
+  model.batch_gradient_into(w, data, batch, g);
   const auto inv = privacy::invert_batch_gradient(g);
   ASSERT_TRUE(inv.has_value());
 
@@ -112,7 +114,8 @@ TEST(GradientInversion, BatchGradientLeaksWeightedCentroid) {
   double dz_sum = 0.0;
   for (size_t i : batch) {
     const std::vector<size_t> one{i};
-    const Vector gi = model.batch_gradient(w, data, one);
+    Vector gi(model.dim());
+    model.batch_gradient_into(w, data, one, gi);
     const double dz = gi.back();
     dz_sum += dz;
     for (size_t j = 0; j < data.dim(); ++j) expected[j] += dz * data.x(i)[j];

@@ -22,6 +22,8 @@
 #include "math/sketch.hpp"
 #include "models/linear_model.hpp"
 
+#include "aggregate.hpp"
+
 namespace dpbyz {
 namespace {
 
@@ -108,10 +110,7 @@ TEST(PruneApprox, ExcludesByzantineOnWellSeparatedCommittees) {
   const GradientBatch batch = GradientBatch::from_vectors(rows);
 
   auto aggregate = [&](const char* name, PruneMode mode) {
-    const auto agg = make_aggregator(name, n, f, mode);
-    AggregatorWorkspace ws;
-    const auto view = agg->aggregate(batch, ws);
-    return Vector(view.begin(), view.end());
+    return support::aggregate(*make_aggregator(name, n, f, mode), batch);
   };
 
   // Krum copies one row: the approx winner must be an honest row (any

@@ -12,7 +12,8 @@ namespace {
 TEST(IidSampler, ProducesRequestedSizeInRange) {
   IidSampler s(10);
   Rng rng(1);
-  const auto batch = s.next(25, rng);
+  std::vector<size_t> batch;
+  s.next_into(25, rng, batch);
   EXPECT_EQ(batch.size(), 25u);
   for (size_t i : batch) EXPECT_LT(i, 10u);
 }
@@ -20,55 +21,38 @@ TEST(IidSampler, ProducesRequestedSizeInRange) {
 TEST(IidSampler, AllowsBatchLargerThanPopulation) {
   IidSampler s(3);
   Rng rng(1);
-  EXPECT_EQ(s.next(10, rng).size(), 10u);  // with replacement
+  std::vector<size_t> batch;
+  s.next_into(10, rng, batch);
+  EXPECT_EQ(batch.size(), 10u);  // with replacement
 }
 
 TEST(IidSampler, CoversPopulationEventually) {
   IidSampler s(5);
   Rng rng(2);
   std::set<size_t> seen;
-  for (int i = 0; i < 50; ++i)
-    for (size_t idx : s.next(5, rng)) seen.insert(idx);
+  std::vector<size_t> batch;
+  for (int i = 0; i < 50; ++i) {
+    s.next_into(5, rng, batch);
+    seen.insert(batch.begin(), batch.end());
+  }
   EXPECT_EQ(seen.size(), 5u);
 }
 
 TEST(IidSampler, DeterministicGivenSeed) {
   IidSampler s1(100), s2(100);
   Rng a(7), b(7);
-  EXPECT_EQ(s1.next(20, a), s2.next(20, b));
+  std::vector<size_t> from_a, from_b;
+  s1.next_into(20, a, from_a);
+  s2.next_into(20, b, from_b);
+  EXPECT_EQ(from_a, from_b);
 }
 
 TEST(IidSampler, RejectsZeroBatchOrPopulation) {
   EXPECT_THROW(IidSampler(0), std::invalid_argument);
   IidSampler s(5);
   Rng rng(1);
-  EXPECT_THROW(s.next(0, rng), std::invalid_argument);
-}
-
-TEST(EpochShuffleSampler, BatchesWithinEpochAreDisjoint) {
-  EpochShuffleSampler s(10);
-  Rng rng(3);
-  const auto b1 = s.next(5, rng);
-  const auto b2 = s.next(5, rng);
-  std::set<size_t> all(b1.begin(), b1.end());
-  all.insert(b2.begin(), b2.end());
-  EXPECT_EQ(all.size(), 10u);  // one full epoch, no repeats
-}
-
-TEST(EpochShuffleSampler, NoDuplicatesInsideABatch) {
-  EpochShuffleSampler s(7);
-  Rng rng(4);
-  for (int round = 0; round < 20; ++round) {
-    const auto batch = s.next(5, rng);
-    const std::set<size_t> uniq(batch.begin(), batch.end());
-    EXPECT_EQ(uniq.size(), batch.size());
-  }
-}
-
-TEST(EpochShuffleSampler, BatchLargerThanPopulationThrows) {
-  EpochShuffleSampler s(3);
-  Rng rng(1);
-  EXPECT_THROW(s.next(4, rng), std::invalid_argument);
+  std::vector<size_t> batch;
+  EXPECT_THROW(s.next_into(0, rng, batch), std::invalid_argument);
 }
 
 }  // namespace

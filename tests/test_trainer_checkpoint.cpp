@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -163,7 +164,7 @@ TEST(TrainerCheckpoint, MissingFileIsNulloptCorruptFileThrows) {
   const std::string path = temp_ckpt("corrupt");
   {
     std::ofstream os(path);
-    os << "DPBYZCKP1\nsig 3\nabc\ntruncated";
+    os << "DPBYZCKP2\nsig 3\nabc\ntruncated";
   }
   EXPECT_THROW(load_checkpoint(path), std::runtime_error);
   {
@@ -172,6 +173,54 @@ TEST(TrainerCheckpoint, MissingFileIsNulloptCorruptFileThrows) {
   }
   EXPECT_THROW(load_checkpoint(path), std::runtime_error);
   std::remove(path.c_str());
+}
+
+/// Flips one bit of the first payload byte of blob `tag` in the file.
+void flip_payload_bit(const std::string& path, const std::string& tag) {
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  const size_t header = bytes.find("\n" + tag + " ");
+  ASSERT_NE(header, std::string::npos) << tag;
+  const size_t payload = bytes.find('\n', header + 1) + 1;
+  bytes[payload] = static_cast<char>(bytes[payload] ^ 0x10);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+TEST(TrainerCheckpoint, PayloadBitFlipFailsCrcAndRestoresNothing) {
+  TrainerCheckpoint ckpt;
+  ckpt.signature = "s";
+  ckpt.round = 3;
+  ckpt.params = {1.5, -2.25, 0.125};
+  ckpt.velocity = {0.5, 0.0, -1.0};
+  const std::string path = temp_ckpt("bitflip");
+  save_checkpoint(path, ckpt);
+  ASSERT_TRUE(load_checkpoint(path).has_value());
+  // Tags and lengths stay intact: only the checksum can see this.
+  flip_payload_bit(path, "params");
+  try {
+    (void)load_checkpoint(path);
+    ADD_FAILURE() << "a flipped params byte was restored";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("CRC-32"), std::string::npos) << what;
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+  }
+
+  // End to end: a resuming trainer refuses the file instead of starting
+  // from a wrong θ.
+  SmallTask task;
+  ExperimentConfig c = ckpt_config(temp_ckpt("bitflip_run"));
+  c.steps = 20;
+  (void)Trainer(c, task.model, task.train, task.test).run();
+  flip_payload_bit(c.checkpoint_path, "params");
+  EXPECT_THROW((void)Trainer(c, task.model, task.train, task.test).run(),
+               std::runtime_error);
+  std::remove(path.c_str());
+  std::remove(c.checkpoint_path.c_str());
 }
 
 TEST(TrainerCheckpoint, WriteIsAtomicNoTmpLeftBehind) {

@@ -33,7 +33,8 @@ TEST(HonestWorker, CleanGradientIsClipped) {
   NoNoise none;
   HonestWorker w(fx.model, fx.data, 16, 1e-3, none, Rng(1));
   const Vector params(fx.model.dim(), 0.0);
-  const Vector sent = w.submit(params);
+  Vector sent(fx.model.dim());
+  w.submit_into(params, sent);
   EXPECT_LE(vec::norm(w.last_clean_gradient()), 1e-3 + 1e-12);
   // Without noise the sent gradient IS the clean gradient.
   EXPECT_EQ(sent, w.last_clean_gradient());
@@ -44,7 +45,8 @@ TEST(HonestWorker, RecordsBatchLoss) {
   NoNoise none;
   HonestWorker w(fx.model, fx.data, 16, 1.0, none, Rng(1));
   const Vector params(fx.model.dim(), 0.0);
-  w.submit(params);
+  Vector sent(fx.model.dim());
+  w.submit_into(params, sent);
   // MSE-on-sigmoid loss at w = 0 is (0.5 - y)^2 = 0.25 for every sample.
   EXPECT_NEAR(w.last_batch_loss(), 0.25, 1e-12);
 }
@@ -56,8 +58,9 @@ TEST(HonestWorker, NoiseChangesSubmissionButNotCleanGradient) {
   NoNoise none;
   HonestWorker clean(fx.model, fx.data, 16, 1e-2, none, Rng(1));
   const Vector params(fx.model.dim(), 0.0);
-  const Vector sent_noisy = noisy.submit(params);
-  const Vector sent_clean = clean.submit(params);
+  Vector sent_noisy(fx.model.dim()), sent_clean(fx.model.dim());
+  noisy.submit_into(params, sent_noisy);
+  clean.submit_into(params, sent_clean);
   // Same seed => same batch => same clean gradient.
   EXPECT_EQ(noisy.last_clean_gradient(), clean.last_clean_gradient());
   EXPECT_NE(sent_noisy, sent_clean);
@@ -69,7 +72,10 @@ TEST(HonestWorker, DeterministicAcrossIdenticalConstruction) {
   HonestWorker a(fx.model, fx.data, 8, 1e-2, mech, Rng(9));
   HonestWorker b(fx.model, fx.data, 8, 1e-2, mech, Rng(9));
   const Vector params(fx.model.dim(), 0.0);
-  EXPECT_EQ(a.submit(params), b.submit(params));
+  Vector sent_a(fx.model.dim()), sent_b(fx.model.dim());
+  a.submit_into(params, sent_a);
+  b.submit_into(params, sent_b);
+  EXPECT_EQ(sent_a, sent_b);
 }
 
 TEST(HonestWorker, ValidatesConstruction) {
@@ -86,7 +92,8 @@ TEST(ParameterServer, AppliesAggregateAndUpdate) {
   SgdOptimizer opt(2, constant_lr(1.0), 0.0);
   ParameterServer server(std::move(gar), std::move(opt), Vector{0.0, 0.0});
   const std::vector<Vector> grads{{1.0, 0.0}, {3.0, 2.0}};
-  server.step(grads, 1);
+  server.aggregate_with(server.gar(), GradientBatch::from_vectors(grads));
+  server.apply(1);
   EXPECT_EQ(server.last_aggregate(), (Vector{2.0, 1.0}));
   EXPECT_EQ(server.parameters(), (Vector{-2.0, -1.0}));
 }
