@@ -42,7 +42,7 @@
 //                         with their reasons), and the
 //                         tree(L = 1, B = 1)-vs-flat and framed-vs-in-memory
 //                         bit-identity gates.
-//   wire_sweep            per wire mode: encode/decode time, bytes per
+//   wire_sweep            the raw64 wire: encode/decode time, bytes per
 //                         row/round, codec allocations, checksum gates.
 //
 // Results go to stdout as tables and to BENCH_gar_scaling.json in the
@@ -836,89 +836,74 @@ void tree_sweep(Report& report, const Options& opt) {
 }
 
 // ---- wire sweep: encode/decode throughput and bytes per round ---------------
-// One d = 1e4 row per mode: median encode and decode+apply wall-clock, the
-// steady-state allocation count of a full codec cycle (must be 0), the
-// checksum gates (raw64 round trip byte-exact; one flipped byte always
-// rejected), the decode error of the lossy modes, and the bytes one framed
-// n = 48, L = 1, B = 4 tree round puts on the wire per mode (4 edges ×
-// d = 4096).
+// One d = 1e4 row over the raw64 wire: median encode and decode+apply
+// wall-clock, the steady-state allocation count of a full codec cycle
+// (must be 0), the checksum gates (round trip byte-exact; one flipped byte
+// always rejected), and the bytes one framed n = 48, L = 1, B = 4 tree
+// round puts on the wire (4 edges × d = 4096).
 
 void wire_sweep(Report& report, const Options& opt) {
-  dpbyz::table::banner("wire codec per mode, d = 1e4");
+  dpbyz::table::banner("raw64 wire codec, d = 1e4");
   namespace net = dpbyz::net;
   const size_t wd = 10000;
   Rng rng(42);
   const Vector row = rng.normal_vector(wd, 1.0);
   const GradientBatch tree_batch = GradientBatch::from_vectors(make_gradients(48, 4096, 42));
 
-  std::vector<Row> rows;
-  for (const net::WireMode mode :
-       {net::WireMode::kRaw64, net::WireMode::kInt8, net::WireMode::kTopK}) {
-    const std::string name = net::wire_mode_name(mode);
-    net::FrameEncoder enc(mode, 1024);
-    net::FrameBuffer frames;
-    Vector decoded(wd, 0.0);
-    auto encode = [&] {
-      frames.clear();
-      enc.encode_row(row, frames);
-    };
-    auto decode_all = [&] {
-      for (size_t i = 0; i < frames.count(); ++i) {
-        net::FrameView chunk;
-        if (net::decode_frame(frames.frame(i), chunk) != net::DecodeStatus::kOk ||
-            !net::apply_chunk(chunk, decoded))
-          std::abort();  // a healthy frame must always decode
-      }
-    };
+  net::FrameEncoder enc(net::WireMode::kRaw64, 1024);
+  net::FrameBuffer frames;
+  Vector decoded(wd, 0.0);
+  auto encode = [&] {
+    frames.clear();
+    enc.encode_row(row, frames);
+  };
+  auto decode_all = [&] {
+    for (size_t i = 0; i < frames.count(); ++i) {
+      net::FrameView chunk;
+      if (net::decode_frame(frames.frame(i), chunk) != net::DecodeStatus::kOk ||
+          !net::apply_chunk(chunk, decoded))
+        std::abort();  // a healthy frame must always decode
+    }
+  };
 
-    // Warm, then prove the encode+decode cycle is allocation-free.
+  // Warm, then prove the encode+decode cycle is allocation-free.
+  encode();
+  decode_all();
+  const size_t allocs = count_allocs([&] {
     encode();
     decode_all();
-    const size_t allocs = count_allocs([&] {
-      encode();
-      decode_all();
-    });
-    const double encode_ms = time_call(encode, opt.budget_s) * 1e3;
-    const double decode_ms = time_call(decode_all, opt.budget_s) * 1e3;
+  });
+  const double encode_ms = time_call(encode, opt.budget_s) * 1e3;
+  const double decode_ms = time_call(decode_all, opt.budget_s) * 1e3;
 
-    std::fill(decoded.begin(), decoded.end(), 0.0);
-    decode_all();
-    const bool round_trip_exact = decoded == row;
-    double max_abs_err = 0.0;
-    for (size_t i = 0; i < wd; ++i)
-      max_abs_err = std::max(max_abs_err, std::abs(decoded[i] - row[i]));
+  std::fill(decoded.begin(), decoded.end(), 0.0);
+  decode_all();
+  const bool round_trip_exact = decoded == row;
 
-    // One flipped byte anywhere must fail the CRC.
-    const std::span<const uint8_t> good = frames.frame(0);
-    std::vector<uint8_t> bad(good.begin(), good.end());
-    bad[bad.size() / 2] ^= 0x40;
-    net::FrameView chunk;
-    const bool corrupt_rejected = net::decode_frame(bad, chunk) != net::DecodeStatus::kOk;
+  // One flipped byte anywhere must fail the CRC.
+  const std::span<const uint8_t> good = frames.frame(0);
+  std::vector<uint8_t> bad(good.begin(), good.end());
+  bad[bad.size() / 2] ^= 0x40;
+  net::FrameView chunk;
+  const bool corrupt_rejected = net::decode_frame(bad, chunk) != net::DecodeStatus::kOk;
 
-    // Bytes one framed tree round actually sends under this mode.
-    net::LinkConfig link;
-    link.wire = mode;
-    const dpbyz::HierarchicalAggregator framed("median", "median", 48, 2, 1, 4, 1,
-                                               dpbyz::PruneMode::kOff, &link);
-    dpbyz::AggregatorWorkspace ws;
-    framed.aggregate(tree_batch, ws);
+  // Bytes one framed tree round actually sends.
+  const net::LinkConfig link;
+  const dpbyz::HierarchicalAggregator framed("median", "median", 48, 2, 1, 4, 1,
+                                             dpbyz::PruneMode::kOff, &link);
+  dpbyz::AggregatorWorkspace ws;
+  framed.aggregate(tree_batch, ws);
 
-    gate(mode != net::WireMode::kRaw64 || round_trip_exact,
-         "raw64 wire round trip is not byte-exact");
-    gate(corrupt_rejected, name + " wire: a corrupted frame passed the checksum");
-    gate(allocs == 0,
-         name + " wire codec: " + std::to_string(allocs) + " allocs after warmup");
-    gate(mode != net::WireMode::kInt8 || max_abs_err <= 1.0 / 254.0 * 6.0,
-         "int8 wire decode error exceeds the ||row||_inf/254 contract");
-    rows.push_back({str("mode", name), num("d", wd), num("bytes_per_row", enc.bytes_per_row(wd)),
-                    num("frames_per_row", enc.chunks(wd)), real("encode_ms", encode_ms),
-                    real("decode_ms", decode_ms), num("codec_allocs_after_warmup", allocs),
-                    flag("round_trip_exact", round_trip_exact),
-                    flag("corrupt_rejected", corrupt_rejected),
-                    real("max_abs_err", max_abs_err, "%.3e"),
-                    num("tree_bytes_per_round", framed.channel_stats().bytes_sent)});
-  }
-  report.section("wire_sweep", rows);
+  gate(round_trip_exact, "raw64 wire round trip is not byte-exact");
+  gate(corrupt_rejected, "raw64 wire: a corrupted frame passed the checksum");
+  gate(allocs == 0, "raw64 wire codec: " + std::to_string(allocs) + " allocs after warmup");
+  report.section(
+      "wire_sweep",
+      {{str("mode", "raw64"), num("d", wd), num("bytes_per_row", enc.bytes_per_row(wd)),
+        num("frames_per_row", enc.chunks(wd)), real("encode_ms", encode_ms),
+        real("decode_ms", decode_ms), num("codec_allocs_after_warmup", allocs),
+        flag("round_trip_exact", round_trip_exact), flag("corrupt_rejected", corrupt_rejected),
+        num("tree_bytes_per_round", framed.channel_stats().bytes_sent)}});
 }
 
 }  // namespace

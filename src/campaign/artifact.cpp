@@ -1,5 +1,6 @@
 #include "campaign/artifact.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -36,6 +37,15 @@ double parse_metric(const std::string& s) {
   const double v = std::strtod(s.c_str(), &end);
   require(end == s.c_str() + s.size() && !s.empty(),
           "campaign: unparsable numeric field '" + s + "'");
+  return v;
+}
+
+size_t parse_size(const std::string& s, const std::string& what) {
+  size_t v = 0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  require(!s.empty() && ec == std::errc{} && ptr == end,
+          "campaign: malformed " + what + " '" + s + "' (want a decimal count)");
   return v;
 }
 

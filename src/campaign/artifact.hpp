@@ -72,6 +72,11 @@ std::string format_metric(double v);
 /// Inverse of format_metric (strtod plus the nan/inf spellings).
 double parse_metric(const std::string& s);
 
+/// A count field of a grid axis value: the whole of `s` must be decimal
+/// digits that fit a size_t, else std::invalid_argument
+/// "campaign: malformed <what> '<s>'".
+size_t parse_size(const std::string& s, const std::string& what);
+
 /// Replace CSV/JSON-hostile characters (',', '\n', '\r', '"', '\\') with
 /// ';' so free-text fields (skip reasons) cannot break the row format.
 std::string sanitize_field(std::string s);

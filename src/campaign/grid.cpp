@@ -29,8 +29,7 @@ std::pair<size_t, size_t> parse_pair(const std::string& s, const std::string& wh
   if (parts.size() == 1) parts = strings::split(s, ',');
   require(parts.size() == 2 && !parts[0].empty() && !parts[1].empty(),
           "campaign: malformed " + what + " '" + s + "' (want <a>x<b>)");
-  return {static_cast<size_t>(std::stoull(parts[0])),
-          static_cast<size_t>(std::stoull(parts[1]))};
+  return {parse_size(parts[0], what), parse_size(parts[1], what)};
 }
 
 void apply_participation(ExperimentConfig& cfg, const std::string& value) {
@@ -54,9 +53,9 @@ void apply_participation(ExperimentConfig& cfg, const std::string& value) {
             "campaign: 'stragglers' needs a count, e.g. stragglers:2 or stragglers:2x3");
     cfg.participation = "stragglers";
     const auto sub = strings::split(parts[1], 'x');
-    cfg.num_stragglers = static_cast<size_t>(std::stoull(sub[0]));
+    cfg.num_stragglers = parse_size(sub[0], "straggler count");
     if (sub.size() == 2)
-      cfg.straggler_period = static_cast<size_t>(std::stoull(sub[1]));
+      cfg.straggler_period = parse_size(sub[1], "straggler period");
     else
       require(sub.size() == 1, "campaign: malformed participation '" + value + "'");
     return;
@@ -88,9 +87,6 @@ void apply_channel(ExperimentConfig& cfg, const std::string& value) {
     cfg.channel_drop = drop;
     cfg.channel_corrupt = corrupt;
     cfg.channel_reorder = reorder;
-    // The channel faults frames, so it needs a wire format; raw64 is the
-    // bit-identical one.  A base that already picked a format keeps it.
-    if (cfg.wire == "off") cfg.wire = "raw64";
     return;
   }
   throw std::invalid_argument("campaign: unknown channel kind '" + kind + "'");
@@ -111,7 +107,7 @@ void apply_churn(ExperimentConfig& cfg, const std::string& value) {
     require(sub.size() == 3,
             "campaign: malformed churn spec '" + parts[1] + "' (want <E>x<join>x<leave>)");
     cfg.churn = "epoch";
-    cfg.churn_epoch_rounds = static_cast<size_t>(std::stoull(sub[0]));
+    cfg.churn_epoch_rounds = parse_size(sub[0], "churn epoch length");
     cfg.churn_join_prob = parse_metric(sub[1]);
     cfg.churn_leave_prob = parse_metric(sub[2]);
     return;

@@ -22,15 +22,16 @@
 //                   form — and the one artifacts carry — uses 'x', which
 //                   keeps every field comma-free for the CSV schema)
 //   channels:       "off" | "lossy:<drop>x<corrupt>x<reorder>"
-//                   (per-frame fault probabilities on the tree's edges;
-//                   a lossy cell whose base leaves wire == "off" gets
-//                   wire = "raw64", the bit-identical framing — and the
-//                   pre-screen skips lossy cells on non-tree topologies,
-//                   where there is no wire to fault)
+//                   (per-frame fault probabilities on the tree's edges,
+//                   which a lossy channel frames as raw64 — byte-exact —
+//                   and the pre-screen skips lossy cells on non-tree
+//                   topologies, where there is no edge to fault)
 //   churn:          "off" | "epoch:<E>x<join>x<leave>"
 //                   (membership epochs of E rounds with the given
 //                   join/leave probabilities; churn_seed comes from
 //                   base.churn_seed and is part of the signature)
+//   Every count (<k>, <period>, <L>, <B>, <E>) must be plain decimal
+//   digits; anything else fails expansion with "campaign: malformed ...".
 //
 // Expansion order is the nested loop gar -> attack -> eps ->
 // participation -> topology -> channel -> churn -> prune -> fast_math

@@ -31,32 +31,13 @@ std::string bits_of(double x) {
   return std::to_string(std::bit_cast<uint64_t>(x));
 }
 
-std::string pack_doubles(const std::vector<double>& v) {
-  std::string out(v.size() * sizeof(double), '\0');
+/// The raw bytes of `v` (doubles and u64s travel as their exact
+/// 8-byte representations).
+template <typename T>
+std::string pack(const std::vector<T>& v) {
+  std::string out(v.size() * sizeof(T), '\0');
   if (!v.empty()) std::memcpy(out.data(), v.data(), out.size());
   return out;
-}
-
-std::vector<double> unpack_doubles(const std::string& bytes) {
-  if (bytes.size() % sizeof(double) != 0)
-    throw std::runtime_error("checkpoint: misaligned double payload");
-  std::vector<double> v(bytes.size() / sizeof(double));
-  if (!v.empty()) std::memcpy(v.data(), bytes.data(), bytes.size());
-  return v;
-}
-
-std::string pack_u64s(const std::vector<uint64_t>& v) {
-  std::string out(v.size() * sizeof(uint64_t), '\0');
-  if (!v.empty()) std::memcpy(out.data(), v.data(), out.size());
-  return out;
-}
-
-std::vector<uint64_t> unpack_u64s(const std::string& bytes) {
-  if (bytes.size() % sizeof(uint64_t) != 0)
-    throw std::runtime_error("checkpoint: misaligned u64 payload");
-  std::vector<uint64_t> v(bytes.size() / sizeof(uint64_t));
-  if (!v.empty()) std::memcpy(v.data(), bytes.data(), bytes.size());
-  return v;
 }
 
 void write_blob(std::ostream& os, const char* name, const std::string& bytes) {
@@ -65,20 +46,85 @@ void write_blob(std::ostream& os, const char* name, const std::string& bytes) {
   os << '\n';
 }
 
-std::string read_blob(std::istream& is, const char* name) {
-  std::string tag;
-  size_t len = 0;
-  is >> tag >> len;
-  if (is.fail() || tag != name)
-    throw std::runtime_error("checkpoint: expected blob '" + std::string(name) +
-                             "', found '" + tag + "'");
-  is.get();  // the '\n' after the length
-  std::string bytes(len, '\0');
-  is.read(bytes.data(), static_cast<std::streamsize>(len));
-  if (is.gcount() != static_cast<std::streamsize>(len) || is.get() != '\n')
-    throw std::runtime_error("checkpoint: truncated blob '" + std::string(name) + "'");
-  return bytes;
-}
+/// Parses a checkpoint file held in memory.  Every length or count read
+/// from the file is checked against the bytes left after it before
+/// anything is allocated, and every error names the file.
+class Reader {
+ public:
+  Reader(const std::string& path, const std::string& file)
+      : path_(path), file_(file), is_(file) {}
+
+  [[noreturn]] void fail(const std::string& what) const {
+    throw std::runtime_error("checkpoint: '" + path_ + "' " + what);
+  }
+
+  /// The magic line.
+  void magic() {
+    std::string line;
+    std::getline(is_, line);
+    if (line != kMagic) fail("is not a checkpoint file");
+  }
+
+  /// A "<tag> <value>\n" line.
+  uint64_t number(const std::string& tag) {
+    std::string got;
+    uint64_t value = 0;
+    is_ >> got >> value;
+    if (is_.fail() || got != tag || is_.get() != '\n')
+      fail("expected '" + tag + " <number>', found '" + got + "'");
+    return value;
+  }
+
+  /// A "<tag> <count>\n" line whose count is a length in bytes or
+  /// records that follow it, so it cannot exceed the bytes left.
+  size_t count(const std::string& tag) {
+    const uint64_t n = number(tag);
+    const size_t left = file_.size() - static_cast<size_t>(is_.tellg());
+    if (n > left)
+      fail("'" + tag + "' claims " + std::to_string(n) + " but only " +
+           std::to_string(left) + " bytes follow");
+    return static_cast<size_t>(n);
+  }
+
+  /// A length-prefixed blob: "<name> <len>\n<len bytes>\n".
+  std::string blob(const std::string& name) {
+    std::string bytes(count(name), '\0');
+    is_.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    if (is_.gcount() != static_cast<std::streamsize>(bytes.size()) || is_.get() != '\n')
+      fail("has a truncated blob '" + name + "'");
+    return bytes;
+  }
+
+  template <typename T>
+  std::vector<T> array(const std::string& name) {
+    const std::string bytes = blob(name);
+    if (bytes.size() % sizeof(T) != 0) fail("has a misaligned blob '" + name + "'");
+    std::vector<T> v(bytes.size() / sizeof(T));
+    if (!v.empty()) std::memcpy(v.data(), bytes.data(), bytes.size());
+    return v;
+  }
+
+  /// The "end" marker, the position right after it (the bytes the
+  /// checksum covers), and then the "crc32 <hex>\n" trailer, which must
+  /// match the computed checksum and end the file.
+  void trailer() {
+    std::string tag;
+    is_ >> tag;
+    if (tag != "end" || is_.get() != '\n') fail("has no end marker");
+    const auto covered = static_cast<size_t>(is_.tellg());
+    const std::string rest = file_.substr(covered);
+    if (rest.size() != 15 || rest.rfind("crc32 ", 0) != 0 || rest.back() != '\n')
+      fail("has no well-formed CRC-32 trailer");
+    const std::string stored = rest.substr(6, 8);
+    if (const std::string computed = crc_hex(file_, covered); stored != computed)
+      fail("fails its CRC-32 check (stored " + stored + ", computed " + computed + ")");
+  }
+
+ private:
+  const std::string& path_;
+  const std::string& file_;
+  std::istringstream is_;
+};
 
 }  // namespace
 
@@ -90,7 +136,7 @@ std::string checkpoint_signature(const ExperimentConfig& c) {
       << ";mom=" << bits_of(c.momentum) << ";clip=" << bits_of(c.clip_norm)
       << ";clip_on=" << c.clip_enabled << ";eval=" << c.eval_every
       << ";drop=" << bits_of(c.dropout_prob) << ";wmom=" << bits_of(c.worker_momentum)
-      << ";part=" << c.data_partition << ";skew=" << bits_of(c.label_skew_fraction)
+      << ";part=" << c.data_partition
       << ";depth=" << c.pipeline_depth << ";fast=" << c.fast_math
       << ";live=" << c.participation << ";lp=" << bits_of(c.participation_prob)
       << ";ns=" << c.num_stragglers << ";sp=" << c.straggler_period
@@ -98,20 +144,14 @@ std::string checkpoint_signature(const ExperimentConfig& c) {
       << ";eps=" << bits_of(c.epsilon) << ";delta=" << bits_of(c.delta)
       << ";gar=" << c.gar << ";prune=" << c.prune
       << ";merge=" << c.tree_merge_gar << ";tl=" << c.tree_levels
-      << ";tb=" << c.tree_branch << ";wire=" << c.wire << ";topk=" << c.wire_topk
-      << ";chunk=" << c.wire_chunk
+      << ";tb=" << c.tree_branch << ";chunk=" << c.wire_chunk
       << ";atk=" << c.attack_enabled << ";atkname=" << c.attack
       << ";nu=" << bits_of(c.attack_nu) << ";probes=" << c.adapt_probes
       << ";budget=" << c.adapt_budget << ";obs=" << c.attack_observes
       << ";churn=" << c.churn << ";ce=" << c.churn_epoch_rounds
       << ";cs=" << c.churn_seed << ";cj=" << bits_of(c.churn_join_prob)
       << ";cl=" << bits_of(c.churn_leave_prob) << ";cc=" << bits_of(c.churn_crash_prob)
-      << ";cm=" << c.churn_max_joins
-      << ";rep=" << c.reputation << ";rb=" << bits_of(c.reputation_beta)
-      << ";ro=" << bits_of(c.reputation_outlier)
-      << ";ra=" << bits_of(c.reputation_admit)
-      << ";re=" << bits_of(c.reputation_evict) << ";qe=" << c.quarantine_epochs
-      << ";ck=" << c.checkpoint_every << ";seed=" << c.seed;
+      << ";rep=" << c.reputation << ";ck=" << c.checkpoint_every << ";seed=" << c.seed;
   return sig.str();
 }
 
@@ -120,17 +160,17 @@ void save_checkpoint(const std::string& path, const TrainerCheckpoint& ckpt) {
   os << kMagic << '\n';
   write_blob(os, "sig", ckpt.signature);
   os << "round " << ckpt.round << '\n';
-  write_blob(os, "params", pack_doubles(ckpt.params));
-  write_blob(os, "velocity", pack_doubles(ckpt.velocity));
+  write_blob(os, "params", pack(ckpt.params));
+  write_blob(os, "velocity", pack(ckpt.velocity));
   os << "workers " << ckpt.worker_blobs.size() << '\n';
   for (const std::string& blob : ckpt.worker_blobs) write_blob(os, "worker", blob);
   write_blob(os, "attack", ckpt.attack_blob);
   write_blob(os, "streams", ckpt.stream_blob);
   write_blob(os, "membership", ckpt.membership_blob);
   write_blob(os, "reputation", ckpt.reputation_blob);
-  write_blob(os, "train_loss", pack_doubles(ckpt.train_loss));
-  write_blob(os, "round_rows", pack_u64s(ckpt.round_rows));
-  write_blob(os, "round_f", pack_u64s(ckpt.round_f));
+  write_blob(os, "train_loss", pack(ckpt.train_loss));
+  write_blob(os, "round_rows", pack(ckpt.round_rows));
+  write_blob(os, "round_f", pack(ckpt.round_f));
   std::vector<uint64_t> eval_steps;
   std::vector<double> eval_accs;
   eval_steps.reserve(ckpt.eval.size());
@@ -139,8 +179,8 @@ void save_checkpoint(const std::string& path, const TrainerCheckpoint& ckpt) {
     eval_steps.push_back(e.step);
     eval_accs.push_back(e.accuracy);
   }
-  write_blob(os, "eval_steps", pack_u64s(eval_steps));
-  write_blob(os, "eval_accs", pack_doubles(eval_accs));
+  write_blob(os, "eval_steps", pack(eval_steps));
+  write_blob(os, "eval_accs", pack(eval_accs));
   os << "end\n";
   const std::string body = os.str();
   write_file_atomic(path, "checkpoint", [&](std::ostream& out) {
@@ -148,67 +188,42 @@ void save_checkpoint(const std::string& path, const TrainerCheckpoint& ckpt) {
   });
 }
 
-std::optional<TrainerCheckpoint> load_checkpoint(const std::string& path) {
-  std::string file;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return std::nullopt;
-    file.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  }
+TrainerCheckpoint decode_checkpoint(const std::string& file, const std::string& path) {
   // Parse first, so a truncated or mis-tagged file reports where it
   // broke; the checksum then vouches for the payload bytes.
-  std::istringstream is(file);
-  std::string magic;
-  std::getline(is, magic);
-  if (magic != kMagic)
-    throw std::runtime_error("checkpoint: '" + path + "' is not a checkpoint file");
+  Reader in(path, file);
+  in.magic();
   TrainerCheckpoint ckpt;
-  ckpt.signature = read_blob(is, "sig");
-  std::string tag;
-  is >> tag >> ckpt.round;
-  if (is.fail() || tag != "round")
-    throw std::runtime_error("checkpoint: missing round marker");
-  is.get();  // '\n'
-  {
-    const std::vector<double> p = unpack_doubles(read_blob(is, "params"));
-    ckpt.params.assign(p.begin(), p.end());
-    const std::vector<double> v = unpack_doubles(read_blob(is, "velocity"));
-    ckpt.velocity.assign(v.begin(), v.end());
-  }
-  size_t workers = 0;
-  is >> tag >> workers;
-  if (is.fail() || tag != "workers")
-    throw std::runtime_error("checkpoint: missing worker count");
-  is.get();  // '\n'
+  ckpt.signature = in.blob("sig");
+  ckpt.round = in.number("round");
+  ckpt.params = in.array<double>("params");
+  ckpt.velocity = in.array<double>("velocity");
+  const size_t workers = in.count("workers");
   ckpt.worker_blobs.reserve(workers);
-  for (size_t i = 0; i < workers; ++i)
-    ckpt.worker_blobs.push_back(read_blob(is, "worker"));
-  ckpt.attack_blob = read_blob(is, "attack");
-  ckpt.stream_blob = read_blob(is, "streams");
-  ckpt.membership_blob = read_blob(is, "membership");
-  ckpt.reputation_blob = read_blob(is, "reputation");
-  ckpt.train_loss = unpack_doubles(read_blob(is, "train_loss"));
-  ckpt.round_rows = unpack_u64s(read_blob(is, "round_rows"));
-  ckpt.round_f = unpack_u64s(read_blob(is, "round_f"));
-  const std::vector<uint64_t> eval_steps = unpack_u64s(read_blob(is, "eval_steps"));
-  const std::vector<double> eval_accs = unpack_doubles(read_blob(is, "eval_accs"));
+  for (size_t i = 0; i < workers; ++i) ckpt.worker_blobs.push_back(in.blob("worker"));
+  ckpt.attack_blob = in.blob("attack");
+  ckpt.stream_blob = in.blob("streams");
+  ckpt.membership_blob = in.blob("membership");
+  ckpt.reputation_blob = in.blob("reputation");
+  ckpt.train_loss = in.array<double>("train_loss");
+  ckpt.round_rows = in.array<uint64_t>("round_rows");
+  ckpt.round_f = in.array<uint64_t>("round_f");
+  const std::vector<uint64_t> eval_steps = in.array<uint64_t>("eval_steps");
+  const std::vector<double> eval_accs = in.array<double>("eval_accs");
   if (eval_steps.size() != eval_accs.size())
-    throw std::runtime_error("checkpoint: eval step/accuracy length mismatch");
+    in.fail("has mismatched eval step/accuracy lengths");
   ckpt.eval.reserve(eval_steps.size());
   for (size_t i = 0; i < eval_steps.size(); ++i)
     ckpt.eval.push_back({static_cast<size_t>(eval_steps[i]), eval_accs[i]});
-  is >> tag;
-  if (tag != "end") throw std::runtime_error("checkpoint: missing end marker");
-  is.get();  // '\n'
-  const auto covered = static_cast<size_t>(is.tellg());
-  std::string stored;
-  is >> tag >> stored;
-  if (is.fail() || tag != "crc32")
-    throw std::runtime_error("checkpoint: '" + path + "' has no CRC-32 trailer");
-  if (const std::string computed = crc_hex(file, covered); stored != computed)
-    throw std::runtime_error("checkpoint: '" + path + "' fails its CRC-32 check (stored " +
-                             stored + ", computed " + computed + ")");
+  in.trailer();
   return ckpt;
+}
+
+std::optional<TrainerCheckpoint> load_checkpoint(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  return decode_checkpoint(
+      std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()), path);
 }
 
 }  // namespace dpbyz

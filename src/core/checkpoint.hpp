@@ -14,15 +14,16 @@
 // blobs — text headers with raw byte payloads (doubles travel as their
 // exact 8-byte representations) — an "end" line, and last a
 // "crc32 <8 hex digits>" line: the CRC-32 (net::crc32) of every byte
-// before it.  The blob reader checks only tags and lengths, so the
-// checksum is what catches a flipped bit inside a payload: a mismatch
-// throws instead of restoring a wrong θ.  Writes are atomic: the file
+// before it.  The reader checks tags, and bounds every length and count
+// by the bytes left in the file before allocating; the checksum is what
+// catches a flipped bit inside a payload: a mismatch throws instead of
+// restoring a wrong θ.  Writes are atomic: the file
 // goes to `path + ".tmp"` and is renamed over `path`, so a crash
 // mid-write never corrupts an existing checkpoint.
 //
 // The signature ties a checkpoint to the trajectory-shaping configuration
-// (every knob except `steps`, the checkpoint file location, the resume
-// flag, and `threads` — all of which may change without perturbing the
+// (every knob except `steps`, the checkpoint file location and
+// `threads` — all of which may change without perturbing the
 // trajectory; extending `steps` is exactly how a restored run continues
 // past its original horizon).
 #pragma once
@@ -65,9 +66,15 @@ std::string checkpoint_signature(const ExperimentConfig& config);
 /// std::runtime_error on I/O failure.
 void save_checkpoint(const std::string& path, const TrainerCheckpoint& ckpt);
 
-/// Load `path`; nullopt when the file does not exist.  Throws
-/// std::runtime_error on a corrupt or truncated file, and one naming
-/// `path` and "CRC-32" when the checksum trailer does not match.
+/// Parse the bytes of a checkpoint file read from `path`.  Every length
+/// and count in the file is checked against the bytes that follow it
+/// before anything is allocated.  Throws std::runtime_error
+/// "checkpoint: '<path>' ..." on a corrupt or truncated file, naming
+/// "CRC-32" when the checksum trailer does not match.
+TrainerCheckpoint decode_checkpoint(const std::string& bytes, const std::string& path);
+
+/// Load `path` (decode_checkpoint of its bytes); nullopt when the file
+/// does not exist.
 std::optional<TrainerCheckpoint> load_checkpoint(const std::string& path);
 
 }  // namespace dpbyz

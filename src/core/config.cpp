@@ -24,8 +24,6 @@ void ExperimentConfig::validate() const {
   require(data_partition == "shared" || data_partition == "iid" ||
               data_partition == "contiguous" || data_partition == "label-skew",
           "config: data_partition must be shared|iid|contiguous|label-skew");
-  require(label_skew_fraction >= 0.5 && label_skew_fraction <= 1.0,
-          "config: label_skew_fraction must be in [0.5, 1]");
   if (dp_enabled) {
     require(mechanism == "gaussian" || mechanism == "laplace",
             "config: mechanism must be 'gaussian' or 'laplace'");
@@ -43,19 +41,14 @@ void ExperimentConfig::validate() const {
   } else {
     require(tree_branch == 0, "config: tree_branch requires tree_levels > 0");
   }
-  require(wire == "off" || wire == "raw64" || wire == "int8" || wire == "topk",
-          "config: wire must be off|raw64|int8|topk");
-  if (wire != "off") {
-    require(tree_levels >= 1, "config: wire requires tree_levels >= 1");
-    require(wire_chunk >= 1, "config: wire_chunk must be >= 1");
-  }
   require(channel == "off" || channel == "lossy",
           "config: channel must be off|lossy");
   if (channel == "lossy") {
-    require(wire != "off", "config: channel == 'lossy' requires a wire format");
+    require(tree_levels >= 1, "config: channel == 'lossy' requires tree_levels >= 1");
+    require(wire_chunk >= 1, "config: wire_chunk must be >= 1");
     auto probability = [](double p) { return p >= 0.0 && p <= 1.0; };
-    require(probability(channel_drop) && probability(channel_duplicate) &&
-                probability(channel_corrupt) && probability(channel_reorder),
+    require(probability(channel_drop) && probability(channel_corrupt) &&
+                probability(channel_reorder),
             "config: channel fault probabilities must be in [0, 1]");
   }
   require(pipeline_depth <= kMaxPipelineDepth,
@@ -89,14 +82,6 @@ void ExperimentConfig::validate() const {
             "no pre-assigned shard)");
     require(reputation == "distance" || reputation == "off",
             "config: reputation must be distance|off");
-    require(reputation_beta > 0 && reputation_beta <= 1,
-            "config: reputation_beta must be in (0,1]");
-    require(reputation_outlier >= 1.0, "config: reputation_outlier must be >= 1");
-    require(probability(reputation_admit) && probability(reputation_evict),
-            "config: reputation thresholds must be in [0, 1]");
-    require(reputation_evict <= reputation_admit,
-            "config: reputation_evict must not exceed reputation_admit");
-    require(quarantine_epochs >= 1, "config: quarantine_epochs must be >= 1");
   }
   if (!checkpoint_path.empty()) {
     require(checkpoint_every >= 1,
@@ -120,7 +105,6 @@ std::string ExperimentConfig::label() const {
   if (tree_levels > 0)
     out += "+tree(L" + std::to_string(tree_levels) + ",B" +
            std::to_string(tree_branch) + ")";
-  if (wire != "off") out += "+wire(" + wire + ")";
   if (channel != "off") out += "+chan";
   if (threads != 1) out += "+T" + std::to_string(threads);
   if (pipeline_depth > 0) out += "+p" + std::to_string(pipeline_depth);

@@ -59,9 +59,8 @@ struct ExperimentConfig {
   ///   "iid"        — random equal shards, one per worker
   ///   "contiguous" — equal shards in dataset order
   ///   "label-skew" — each worker's shard is dominated by one class
-  ///                  (fraction `label_skew_fraction`, best effort)
+  ///                  (a 0.8 majority share, best effort)
   std::string data_partition = "shared";
-  double label_skew_fraction = 0.8;  ///< majority share for "label-skew"
   /// Thread budget for one training step: honest-worker submission runs
   /// one pipeline per thread on the process-wide ThreadPool, and the
   /// hierarchical tree (tree_levels >= 1) dispatches its top-level child
@@ -174,24 +173,15 @@ struct ExperimentConfig {
   /// Branching factor B per tree node; required >= 1 when tree_levels
   /// >= 1 (and must be 0 when the tree is off).
   size_t tree_branch = 0;
-  /// Wire encoding of the tree's child→parent edges (requires
-  /// tree_levels >= 1):
-  ///   "off"   — in-memory copies (default; bit-identical to no wire)
-  ///   "raw64" — framed + checksummed, byte-exact round trip
-  ///   "int8"  — per-row symmetric int8 quantization (error ≤ ||row||∞/254
-  ///             per coordinate — see the robustness contract in
-  ///             docs/ARCHITECTURE.md)
-  ///   "topk"  — only the wire_topk largest-|x| coordinates travel
-  std::string wire = "off";
-  /// Coordinates kept per row under wire == "topk"; 0 = dim/10 (min 1).
-  size_t wire_topk = 0;
-  /// Coordinates (raw64/int8) or entries (topk) per frame — the chunking
-  /// granularity drop/reorder faults act on.
+  /// Coordinates per frame on a framed tree edge (channel == "lossy") —
+  /// the chunking granularity drop/reorder faults act on.
   size_t wire_chunk = 1024;
-  /// Edge transport faults (requires wire != "off"):
-  ///   "off"   — ideal delivery, frames arrive intact and in order
-  ///   "lossy" — the seeded SimulatedChannel drops / duplicates /
-  ///             corrupts / reorders frames per the probabilities below.
+  /// The tree's child→parent edges (requires tree_levels >= 1 when on):
+  ///   "off"   — in-memory copies (default; no framing)
+  ///   "lossy" — every edge is framed (raw64, checksummed, byte-exact)
+  ///             and crosses the seeded SimulatedChannel, which drops /
+  ///             corrupts / reorders frames per the probabilities below
+  ///             (all zero = the ideal framed link).
   ///             Missing chunks are retransmitted up to
   ///             channel_retransmit rounds; an unreassemblable child
   ///             aggregate is zero-substituted against the level's
@@ -200,7 +190,6 @@ struct ExperimentConfig {
   ///             channel counters land in RunResult::channel.
   std::string channel = "off";
   double channel_drop = 0.0;       ///< per-frame drop probability, [0,1]
-  double channel_duplicate = 0.0;  ///< per-frame duplication probability, [0,1]
   double channel_corrupt = 0.0;    ///< per-frame byte-flip probability, [0,1]
   double channel_reorder = 0.0;    ///< per-frame delay/reorder probability, [0,1]
   uint64_t channel_seed = 1;       ///< root of the per-edge fault streams
@@ -257,41 +246,32 @@ struct ExperimentConfig {
   double churn_join_prob = 0.5;    ///< P(one joiner appears) per epoch boundary
   double churn_leave_prob = 0.1;   ///< per active worker per boundary
   double churn_crash_prob = 0.0;   ///< per active worker per boundary
-  /// Cap on workers that can ever join (pool beyond the initial roster).
-  /// 0 = one candidate slot per epoch boundary (the trace's natural max).
-  size_t churn_max_joins = 0;
   /// Admission gate for joiners (requires churn == "epoch"):
   ///   "distance" — per-worker EMA of an aggregation-derived inlier
   ///                signal (squared distance to the round's selected
   ///                aggregate vs. the live-roster median — the krum-score
-  ///                surrogate; see core/reputation.hpp).  Joiners are
-  ///                quarantined (submitting, never aggregated) for >=
-  ///                `quarantine_epochs` epochs and admitted only once
-  ///                their score reaches `reputation_admit`; active
-  ///                workers falling below `reputation_evict` are evicted
-  ///                at the next boundary.
-  ///   "off"      — joiners are admitted purely by quarantine_epochs
-  ///                elapsing; nobody is ever evicted.
+  ///                surrogate; its constants live in
+  ///                core/reputation.hpp).  Joiners are quarantined
+  ///                (submitting, never aggregated) for one epoch and
+  ///                admitted only once their score reaches the admission
+  ///                bar; active workers falling below the eviction bar
+  ///                are evicted at the next boundary.
+  ///   "off"      — joiners are admitted after their quarantine epoch;
+  ///                nobody is ever evicted.
   std::string reputation = "distance";
-  double reputation_beta = 0.2;     ///< EMA step toward this round's 0/1 verdict
-  double reputation_outlier = 4.0;  ///< inlier iff d^2 <= outlier^2 x median d^2
-  double reputation_admit = 0.8;    ///< min score for quarantine -> active
-  double reputation_evict = 0.05;   ///< active workers below this are evicted
-  size_t quarantine_epochs = 1;     ///< min epochs a joiner is audited
   /// Trainer checkpoint/restore (independent of churn; see
   /// core/checkpoint.hpp).  Non-empty = write an atomic (tmp+rename)
   /// checkpoint of the full trainer state — θ, optimizer momentum, every
   /// RNG stream, membership epoch + reputation — every
   /// `checkpoint_every` rounds, and resume from the file when it already
-  /// exists (checkpoint_resume).  Checkpoint rounds are pipeline
-  /// barriers: the ring drains before the state is captured, in
-  /// interrupted and uninterrupted runs alike, so a kill-and-restore
-  /// trajectory is bit-identical to an unbroken one.  Requires
+  /// exists.  Checkpoint rounds are pipeline barriers: the ring drains
+  /// before the state is captured, in interrupted and uninterrupted runs
+  /// alike, so a kill-and-restore trajectory is bit-identical to an
+  /// unbroken one.  Requires
   /// channel == "off" (per-edge channel streams live inside the
   /// aggregators and are not captured).
   std::string checkpoint_path = "";
-  size_t checkpoint_every = 0;    ///< rounds between checkpoints (>= 1 when on)
-  bool checkpoint_resume = true;  ///< load checkpoint_path when it exists
+  size_t checkpoint_every = 0;  ///< rounds between checkpoints (>= 1 when on)
 
   // --- reproducibility ------------------------------------------------------
   uint64_t seed = 1;  ///< run seed (paper uses 1..5); controls sampling + noise

@@ -27,10 +27,7 @@ size_t MembershipManager::pool_size_for(const ExperimentConfig& config,
   // run are t = E, 2E, ... < steps.
   const size_t boundaries =
       config.steps >= 1 ? (config.steps - 1) / config.churn_epoch_rounds : 0;
-  const size_t joins = config.churn_max_joins > 0
-                           ? std::min(config.churn_max_joins, boundaries)
-                           : boundaries;
-  return initial_honest + joins;
+  return initial_honest + boundaries;
 }
 
 MembershipManager::MembershipManager(const ExperimentConfig& config,
@@ -39,7 +36,6 @@ MembershipManager::MembershipManager(const ExperimentConfig& config,
       join_prob_(config.churn_join_prob),
       leave_prob_(config.churn_leave_prob),
       crash_prob_(config.churn_crash_prob),
-      quarantine_epochs_(config.quarantine_epochs),
       f0_(config.num_byzantine),
       h0_(initial_honest),
       rng_(std::move(churn_rng)),
@@ -110,7 +106,7 @@ void MembershipManager::advance(size_t t, ReputationBook& rep) {
   }
   for (uint32_t w = 0; w < states_.size(); ++w) {
     if (states_[w] != WorkerState::kQuarantined) continue;
-    if (e - joined_epoch_[w] < quarantine_epochs_ || !rep.admits(w)) continue;
+    if (e - joined_epoch_[w] < kQuarantineEpochs || !rep.admits(w)) continue;
     states_[w] = WorkerState::kActive;
     ++active_count;
     trace_.push_back({e, ChurnEvent::Kind::kAdmit, w});

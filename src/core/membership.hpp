@@ -33,9 +33,9 @@
 //
 //   * Joiners are quarantined: they submit every round (shadow rows
 //     behind the aggregated prefix — audited, never aggregated) and
-//     become active only after >= quarantine_epochs epochs with a
-//     reputation score >= reputation_admit.  Active workers below
-//     reputation_evict are evicted at the next boundary.  A pool slot is
+//     become active only after >= kQuarantineEpochs epochs with a
+//     reputation score >= kReputationAdmit.  Active workers below
+//     kReputationEvict are evicted at the next boundary.  A pool slot is
 //     used at most once (left/crashed/evicted workers never return).
 //
 // Determinism contract: the applied event trace (RunResult::churn_trace)
@@ -54,6 +54,9 @@
 #include "math/rng.hpp"
 
 namespace dpbyz {
+
+/// Epochs a joiner is audited in quarantine before it can be admitted.
+inline constexpr size_t kQuarantineEpochs = 1;
 
 /// Lifecycle of one pool slot.  kUnborn slots are future joiners; the
 /// terminal states (kLeft, kCrashed, kEvicted) are absorbing.
@@ -98,10 +101,9 @@ class MembershipManager {
                     Rng churn_rng);
 
   /// Worker slots a run of `config` can ever see: the initial roster
-  /// plus one candidate joiner per epoch boundary (capped by
-  /// churn_max_joins when set).  The trainer sizes its worker vector —
-  /// and every per-worker RNG stream — off this, so join events never
-  /// construct state mid-run.
+  /// plus one candidate joiner per epoch boundary.  The trainer sizes
+  /// its worker vector — and every per-worker RNG stream — off this, so
+  /// join events never construct state mid-run.
   static size_t pool_size_for(const ExperimentConfig& config, size_t initial_honest);
 
   size_t pool_size() const { return states_.size(); }
@@ -132,7 +134,6 @@ class MembershipManager {
   double join_prob_ = 0.0;
   double leave_prob_ = 0.0;
   double crash_prob_ = 0.0;
-  size_t quarantine_epochs_ = 1;
   size_t f0_ = 0;  ///< configured Byzantine budget (the cap)
   size_t h0_ = 1;  ///< initial admitted roster size (the ratio anchor)
 

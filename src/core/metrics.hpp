@@ -76,7 +76,7 @@ struct RunResult {
   /// minimum; 0 when the run never stabilized.
   size_t steps_to_min_loss = 0;
   /// Wire/channel counters summed over every tree edge of the run
-  /// (all-zero unless tree_levels >= 1 with wire != "off").  A seeded
+  /// (all-zero unless tree_levels >= 1 with channel == "lossy").  A seeded
   /// lossy run reproduces these exactly along with its trajectory —
   /// both are pure functions of (config, seed, channel_seed).
   net::ChannelStats channel;

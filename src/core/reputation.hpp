@@ -15,15 +15,15 @@
 //
 // Per round, per scored worker i:
 //     d_i^2   = || row_i - aggregate ||^2
-//     inlier  = d_i^2 <= reputation_outlier^2 * median_{j live}(d_j^2)
-//     score_i = (1 - beta) * score_i + beta * [inlier]
+//     inlier  = d_i^2 <= kReputationOutlier^2 * median_{j live}(d_j^2)
+//     score_i = (1 - kReputationBeta) * score_i + kReputationBeta * [inlier]
 //
 // The EMA starts at 0.5 (uncommitted), converges to 1 for workers whose
 // submissions consistently blend into the honest spread and to 0 for
 // persistent outliers.  MembershipManager consumes the scores at epoch
-// boundaries: a quarantined joiner needs score >= reputation_admit after
-// >= quarantine_epochs epochs of auditing; an active worker below
-// reputation_evict is evicted.  Quarantined workers submit every round
+// boundaries: a quarantined joiner needs score >= kReputationAdmit after
+// >= kQuarantineEpochs epochs of auditing; an active worker below
+// kReputationEvict is evicted.  Quarantined workers submit every round
 // ("shadow participation": their rows sit behind the aggregated prefix
 // and never influence θ) so the book audits them with the same signal.
 //
@@ -43,6 +43,15 @@
 #include "math/vector_ops.hpp"
 
 namespace dpbyz {
+
+/// EMA step toward the round's 0/1 inlier verdict.
+inline constexpr double kReputationBeta = 0.2;
+/// A row is an inlier iff d^2 <= kReputationOutlier^2 x the live median d^2.
+inline constexpr double kReputationOutlier = 4.0;
+/// Minimum score for quarantine -> active.
+inline constexpr double kReputationAdmit = 0.8;
+/// Active workers scoring below this are evicted.
+inline constexpr double kReputationEvict = 0.05;
 
 class ReputationBook {
  public:
@@ -74,10 +83,10 @@ class ReputationBook {
 
   /// Threshold verdicts (always permissive when not enabled()).
   bool admits(uint32_t worker) const {
-    return !enabled_ || scores_[worker] >= admit_;
+    return !enabled_ || scores_[worker] >= kReputationAdmit;
   }
   bool evicts(uint32_t worker) const {
-    return enabled_ && scores_[worker] < evict_;
+    return enabled_ && scores_[worker] < kReputationEvict;
   }
 
   /// Reset a slot to the uncommitted 0.5 when its worker joins (a pool
@@ -94,10 +103,6 @@ class ReputationBook {
   void update(uint32_t worker, double dist_sq, double threshold);
 
   bool enabled_ = false;
-  double beta_ = 0.2;
-  double outlier_sq_ = 16.0;  ///< reputation_outlier squared
-  double admit_ = 0.8;
-  double evict_ = 0.05;
   std::vector<double> scores_;
   std::vector<double> dist_scratch_;    ///< per-live-row d^2 this round
   std::vector<double> median_scratch_;  ///< reordered by nth_element

@@ -19,6 +19,12 @@
 
 namespace dpbyz {
 
+namespace {
+/// Majority-class share of each worker's shard under data_partition ==
+/// "label-skew".
+constexpr double kLabelSkewFraction = 0.8;
+}  // namespace
+
 std::unique_ptr<NoiseMechanism> make_mechanism(const ExperimentConfig& config, size_t dim) {
   if (!config.dp_enabled) return std::make_unique<NoNoise>();
   if (config.mechanism == "gaussian") {
@@ -36,17 +42,17 @@ std::unique_ptr<Aggregator> make_round_aggregator(const ExperimentConfig& config
                                                   size_t rows, size_t f) {
   const PruneMode prune = parse_prune_mode(config.prune);
   if (config.tree_levels > 0) {
+    // A lossy channel frames every edge; channel "off" keeps the
+    // in-memory copies.
+    const bool framed = config.channel == "lossy";
     net::LinkConfig link;
-    const bool framed = config.wire != "off";
     if (framed) {
-      link.wire = net::parse_wire_mode(config.wire);
-      link.topk = config.wire_topk;
       link.chunk_values = config.wire_chunk;
       link.channel_seed = config.channel_seed;
       link.retransmit_limit = config.channel_retransmit;
-      if (config.channel == "lossy")
-        link.channel = {config.channel_drop, config.channel_duplicate,
-                        config.channel_corrupt, config.channel_reorder};
+      link.channel = {.drop = config.channel_drop,
+                      .corrupt = config.channel_corrupt,
+                      .reorder = config.channel_reorder};
     }
     return std::make_unique<HierarchicalAggregator>(
         config.gar, config.tree_merge_gar, rows, f,
@@ -106,7 +112,7 @@ RunResult Trainer::run() {
     else if (config_.data_partition == "contiguous")
       shards = partition_contiguous(train_, active_honest);
     else
-      shards = partition_label_skew(train_, active_honest, config_.label_skew_fraction,
+      shards = partition_label_skew(train_, active_honest, kLabelSkewFraction,
                                     partition_rng);
   }
 
@@ -237,7 +243,7 @@ RunResult Trainer::run() {
   };
 
   size_t start_round = 0;
-  if (checkpointing && config_.checkpoint_resume) {
+  if (checkpointing) {
     if (std::optional<TrainerCheckpoint> ckpt = load_checkpoint(config_.checkpoint_path)) {
       require(ckpt->signature == signature,
               "Trainer: checkpoint '" + config_.checkpoint_path +

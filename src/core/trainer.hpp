@@ -74,7 +74,7 @@ std::unique_ptr<NoiseMechanism> make_mechanism(const ExperimentConfig& config, s
 
 /// Construct the round GAR for `rows` submissions tolerating `f`
 /// Byzantine at the config's topology: flat (default) or the hierarchical
-/// tree with its wire/channel link (tree_levels >= 1).  The single construction path shared by the
+/// tree, its edges framed when channel == "lossy" (tree_levels >= 1).  The single construction path shared by the
 /// trainer's full-round rule, the round engine's per-(n', f) cache and
 /// ParameterServer::renegotiate — budgets, prune mode and link wiring
 /// cannot drift between them.  Throws std::invalid_argument when any

@@ -153,22 +153,4 @@ Vector mean_of(std::span<const Vector> vs, std::span<const size_t> idx) {
   return out;
 }
 
-double quantize_int8(CView src, std::span<int8_t> out) {
-  require(src.size() == out.size(), "vec::quantize_int8: dimension mismatch");
-  const double scale = norm_inf(src) / 127.0;
-  for (size_t i = 0; i < src.size(); ++i) {
-    // scale == 0 means every |src_i| is 0; the clamp keeps a forged
-    // ±inf/round artifact from escaping the int8 range either way.
-    const double q = scale == 0.0 ? 0.0 : std::round(src[i] / scale);
-    out[i] = static_cast<int8_t>(std::clamp(q, -127.0, 127.0));
-  }
-  return scale;
-}
-
-void dequantize_int8(std::span<const int8_t> q, double scale, View dst) {
-  require(q.size() == dst.size(), "vec::dequantize_int8: dimension mismatch");
-  for (size_t i = 0; i < q.size(); ++i)
-    dst[i] = static_cast<double>(q[i]) * scale;
-}
-
 }  // namespace dpbyz::vec

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -82,21 +81,6 @@ bool approx_equal(CView a, CView b, double tol = 1e-12);
 /// Lexicographic strict ordering of two views — the canonical GAR
 /// tie-break, matching std::vector<double>'s operator< on the same values.
 bool lex_less(CView a, CView b);
-
-// ---- int8 symmetric quantization (the wire format's lossy payload) ----
-//
-// Contract (documented with its robustness implications in
-// docs/ARCHITECTURE.md, "Hierarchical aggregation & wire format"):
-// scale = ||src||∞ / 127, q_i = clamp(round(src_i / scale), ±127), so the
-// round trip satisfies |dequantize(q)_i − src_i| ≤ scale / 2 = ||src||∞/254
-// per coordinate.  An all-zero (or all-±0) src yields scale = 0 and an
-// all-zero q.  Both kernels are allocation-free and deterministic.
-
-/// Quantizes `src` into `out` (equal lengths) and returns the scale.
-double quantize_int8(CView src, std::span<int8_t> out);
-
-/// Inverse transform: dst_i = q_i * scale.
-void dequantize_int8(std::span<const int8_t> q, double scale, View dst);
 
 }  // namespace vec
 }  // namespace dpbyz

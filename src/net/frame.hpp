@@ -12,30 +12,21 @@
 //   off  size  field
 //     0     4  magic 0x44504258 ("DPBX")
 //     4     2  version (kWireVersion)
-//     6     1  wire mode (WireMode)
+//     6     1  wire mode (WireMode; 0 = raw64, the only encoding)
 //     7     1  reserved (0)
 //     8     4  seq           chunk index within the row, [0, total)
 //    12     4  total         chunks this row was split into
 //    16     4  dim           full row dimension (receiver-side check)
-//    20     4  offset        first coordinate (raw64/int8) or first
-//                            entry index (topk) carried by this chunk
-//    24     4  count         coordinates / entries in this chunk
+//    20     4  offset        first coordinate carried by this chunk
+//    24     4  count         coordinates in this chunk
 //    28     4  payload_bytes
-//    32     8  scale         int8 dequantization scale (0 otherwise)
+//    32     8  reserved (0)
 //    40     …  payload
 //     …     4  crc32 over bytes [0, kFrameHeaderBytes + payload_bytes)
 //
-// Payload encodings (the quantization-error-vs-robustness contract is
-// documented in docs/ARCHITECTURE.md, "Hierarchical aggregation & wire
-// format"):
-//   raw64 — count doubles, memcpy of the IEEE-754 bit patterns: decode
-//           is byte-exact, including signed zeros and subnormals.
-//   int8  — count bytes; x ≈ q·scale with scale = max|x| / 127 and
-//           q = clamp(round(x / scale), ±127), so the per-coordinate
-//           error is ≤ scale/2 = ‖row‖∞ / 254.
-//   topk  — count (u32 index, f64 value) entries: the k largest-|x|
-//           coordinates exactly (ties broken toward the lower index),
-//           every other coordinate decodes to 0.
+// The payload is raw64: count doubles, a memcpy of the IEEE-754 bit
+// patterns, so decode is byte-exact, including signed zeros and
+// subnormals.  A checksummed frame whose mode byte is not 0 is malformed.
 //
 // decode_frame never throws and never reads outside the given span —
 // arbitrary garbage (fuzzed, truncated, bit-flipped) yields a non-kOk
@@ -44,7 +35,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace dpbyz::net {
@@ -55,11 +45,8 @@ inline constexpr size_t kFrameHeaderBytes = 40;
 /// Header + trailing CRC: the fixed per-frame byte overhead.
 inline constexpr size_t kFrameOverheadBytes = kFrameHeaderBytes + 4;
 
-enum class WireMode : uint8_t { kRaw64 = 0, kInt8 = 1, kTopK = 2 };
-
-/// Parses "raw64" | "int8" | "topk"; throws std::invalid_argument else.
-WireMode parse_wire_mode(const std::string& name);
-std::string wire_mode_name(WireMode mode);
+/// The frame encoding; raw64 is the only one (mode byte 0).
+enum class WireMode : uint8_t { kRaw64 = 0 };
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the frame
 /// checksum.  Local table implementation, no external dependency.
@@ -67,13 +54,11 @@ uint32_t crc32(std::span<const uint8_t> bytes);
 
 /// Parsed header of a validated frame; `payload` aliases the frame bytes.
 struct FrameView {
-  WireMode mode = WireMode::kRaw64;
   uint32_t seq = 0;
   uint32_t total = 0;
   uint32_t dim = 0;
   uint32_t offset = 0;
   uint32_t count = 0;
-  double scale = 0.0;
   std::span<const uint8_t> payload;
 };
 
@@ -90,10 +75,9 @@ enum class DecodeStatus : uint8_t {
 /// `frame`; on any non-kOk status `out` is unspecified.
 DecodeStatus decode_frame(std::span<const uint8_t> frame, FrameView& out);
 
-/// Scatters one validated chunk into `row` (`row.size()` must equal
-/// `chunk.dim`; top-k receivers zero the row before the first chunk).
-/// Returns false — without touching `row` — when the chunk's coordinate
-/// range or entry indices do not fit the row (a forged-but-checksummed
+/// Copies one validated chunk into `row` (`row.size()` must equal
+/// `chunk.dim`).  Returns false — without touching `row` — when the
+/// chunk's coordinate range does not fit the row (a forged-but-checksummed
 /// frame cannot over-write).
 bool apply_chunk(const FrameView& chunk, std::span<double> row);
 
@@ -112,15 +96,14 @@ class FrameBuffer {
   size_t count_ = 0;
 };
 
-/// Stateful row encoder: splits one row into `chunk_values` coordinates
-/// (raw64/int8) or entries (topk) per frame.  Scratch (top-k candidate
-/// order, int8 staging) is retained across calls — zero allocations
-/// after warmup at a fixed dimension.
+/// Row encoder: splits one row into `chunk_values` coordinates per
+/// frame.  Allocates nothing itself; the FrameBuffer's retained frames
+/// make steady-state encoding allocation-free.
 class FrameEncoder {
  public:
-  /// `topk` = entries kept per row in kTopK mode (0 picks dim/10, min 1,
-  /// capped at dim).  Throws std::invalid_argument when chunk_values == 0.
-  FrameEncoder(WireMode mode, size_t chunk_values = 1024, size_t topk = 0);
+  /// `mode` names the encoding (raw64 is the only one).  Throws
+  /// std::invalid_argument when chunk_values == 0.
+  FrameEncoder(WireMode mode, size_t chunk_values = 1024);
 
   /// Encodes `row` as frames appended to `out` (not cleared first).
   /// Returns the number of frames appended (== chunks(row.size())).
@@ -131,19 +114,8 @@ class FrameEncoder {
   /// Total frame bytes (payload + per-frame overhead) for one row.
   size_t bytes_per_row(size_t dim) const;
 
-  WireMode mode() const { return mode_; }
-  size_t topk_for(size_t dim) const;
-
  private:
-  void emit_frame(uint32_t seq, uint32_t total, uint32_t dim, uint32_t offset,
-                  uint32_t count, double scale, std::span<const uint8_t> payload,
-                  FrameBuffer& out);
-
-  WireMode mode_;
   size_t chunk_values_;
-  size_t topk_;
-  std::vector<uint32_t> order_;    // top-k candidate indices
-  std::vector<uint8_t> payload_;   // staging for int8 / topk payloads
 };
 
 }  // namespace dpbyz::net

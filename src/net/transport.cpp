@@ -8,7 +8,7 @@ namespace dpbyz::net {
 
 EdgeTransport::EdgeTransport(const LinkConfig& config, uint64_t edge_seed)
     : config_(config),
-      encoder_(config.wire, config.chunk_values, config.topk),
+      encoder_(WireMode::kRaw64, config.chunk_values),
       channel_(config.channel, edge_seed) {}
 
 bool EdgeTransport::transfer(std::span<const double> row, std::span<double> out,
@@ -18,9 +18,9 @@ bool EdgeTransport::transfer(std::span<const double> row, std::span<double> out,
   frames_.clear();
   const size_t total = encoder_.encode_row(row, frames_);
 
-  // The receiver assembles into a zeroed row: raw64/int8 chunks cover
-  // every coordinate, top-k scatters onto the zero background, and a
-  // failed transfer leaves exactly the §2.1 zero substitute behind.
+  // The receiver assembles into a zeroed row: the chunks cover every
+  // coordinate, and a failed transfer leaves exactly the §2.1 zero
+  // substitute behind.
   std::fill(out.begin(), out.end(), 0.0);
   have_.resize(total);
   std::fill(have_.begin(), have_.end(), uint8_t{0});

@@ -100,6 +100,17 @@ TEST(CampaignArtifact, SanitizeKeepsFieldsCommaAndNewlineFree) {
   EXPECT_EQ(sanitize_field("a,b\nc\"d\\e"), "a;b;c;d;e");
 }
 
+/// Expanding `spec` must fail with the named malformed-field error.
+void expect_malformed(const GridSpec& spec, const std::string& value) {
+  try {
+    (void)expand_grid(spec);
+    ADD_FAILURE() << "'" << value << "' expanded";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("campaign: malformed ", 0), 0u)
+        << value << ": " << e.what();
+  }
+}
+
 TEST(CampaignGrid, ExpandsStablyAndPreScreensAdmissibility) {
   const GridSpec spec = small_spec();
   const auto cells = expand_grid(spec);
@@ -179,6 +190,21 @@ TEST(CampaignGrid, ParsesTopologyAndParticipationAxes) {
   spec.topologies = {"flat"};
   spec.participation = {"sometimes"};
   EXPECT_THROW(expand_grid(spec), std::invalid_argument);
+
+  // Counts are whole decimal fields: trailing junk, signs, fractions and
+  // words are malformed, never truncated or wrapped.
+  spec.participation = {"full"};
+  for (const char* topo : {"tree:1x3junk", "tree:-1x3", "tree:1x+3", "tree:1x 3",
+                           "tree:99999999999999999999x3"}) {
+    spec.topologies = {topo};
+    expect_malformed(spec, topo);
+  }
+  spec.topologies = {"flat"};
+  for (const char* part : {"stragglers:2x3q", "stragglers:two", "stragglers:2.5",
+                           "stragglers:2x-3"}) {
+    spec.participation = {part};
+    expect_malformed(spec, part);
+  }
 }
 
 TEST(CampaignGrid, ParsesChannelAndChurnAxes) {
@@ -196,7 +222,6 @@ TEST(CampaignGrid, ParsesChannelAndChurnAxes) {
   EXPECT_TRUE(cells[0].admissible()) << cells[0].skip_reason;
   EXPECT_EQ(cells[0].config.channel, "off");
   EXPECT_EQ(cells[0].config.churn, "off");
-  EXPECT_EQ(cells[0].config.wire, "off");
 
   // flat + churn: admissible; the config carries the epoch knobs.
   EXPECT_TRUE(cells[1].admissible()) << cells[1].skip_reason;
@@ -210,19 +235,23 @@ TEST(CampaignGrid, ParsesChannelAndChurnAxes) {
   EXPECT_FALSE(cells[2].admissible());
   EXPECT_NE(cells[2].skip_reason.find("tree_levels"), std::string::npos);
 
-  // tree + lossy: admissible; a bare base gets the raw64 wire format.
+  // tree + lossy: admissible; the lossy channel frames the tree's edges.
   EXPECT_TRUE(cells[6].admissible()) << cells[6].skip_reason;
   EXPECT_EQ(cells[6].config.channel, "lossy");
   EXPECT_DOUBLE_EQ(cells[6].config.channel_drop, 0.05);
   EXPECT_DOUBLE_EQ(cells[6].config.channel_corrupt, 0.01);
   EXPECT_DOUBLE_EQ(cells[6].config.channel_reorder, 0.1);
-  EXPECT_EQ(cells[6].config.wire, "raw64");
 
   spec.channels = {"noisy:0.1"};
   EXPECT_THROW(expand_grid(spec), std::invalid_argument);
   spec.channels = {"off"};
   spec.churn = {"epoch:5x0.6"};
   EXPECT_THROW(expand_grid(spec), std::invalid_argument);
+  // The epoch length is a count: a fraction or a sign is malformed.
+  for (const char* churn : {"epoch:5.5x0.5x0", "epoch:-5x0.5x0", "epoch:x0.5x0"}) {
+    spec.churn = {churn};
+    expect_malformed(spec, churn);
+  }
 }
 
 TEST(CampaignGrid, SignatureTracksEveryAxis) {

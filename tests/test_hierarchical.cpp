@@ -458,28 +458,23 @@ TEST(HierarchicalConfig, ValidateAndLabelCoverTheTreeKnobs) {
   EXPECT_NO_THROW(c.validate());
   EXPECT_NE(c.label().find("+tree(L2,B2)"), std::string::npos);
 
-  c.wire = "nope";
+  c.channel = "nope";
   EXPECT_THROW(c.validate(), std::invalid_argument);
-  c.wire = "raw64";
-  EXPECT_NO_THROW(c.validate());
-  EXPECT_NE(c.label().find("+wire(raw64)"), std::string::npos);
-  c.wire_chunk = 0;
-  EXPECT_THROW(c.validate(), std::invalid_argument);
-  c.wire_chunk = 1024;
-
   c.channel = "lossy";
   c.channel_drop = 0.1;
   EXPECT_NO_THROW(c.validate());
   EXPECT_NE(c.label().find("+chan"), std::string::npos);
+  c.wire_chunk = 0;
+  EXPECT_THROW(c.validate(), std::invalid_argument);
+  c.wire_chunk = 1024;
   c.channel_drop = 1.5;
   EXPECT_THROW(c.validate(), std::invalid_argument);
   c.channel_drop = 0.1;
 
-  // wire (and hence channel) require the tree.
+  // The channel (the framed edges) requires the tree.
   c.tree_levels = 0;
   c.tree_branch = 0;
   EXPECT_THROW(c.validate(), std::invalid_argument);
-  c.wire = "off";
   c.channel = "off";
   EXPECT_NO_THROW(c.validate());
   EXPECT_EQ(c.label().find("+tree"), std::string::npos);
@@ -530,8 +525,18 @@ TEST(HierarchicalConfig, TrainerTreeL1MatchesPinnedRunExactly) {
   const RunResult single_run = Trainer(single, model, data, data).run();
   EXPECT_EQ(single_run.final_parameters, flat_run.final_parameters);
   EXPECT_EQ(single_run.train_loss, flat_run.train_loss);
-  // No wire configured: the channel counters stay all-zero.
+  // No channel configured: the channel counters stay all-zero.
   EXPECT_TRUE(tree_run.channel == net::ChannelStats{});
+
+  // A lossy channel with every fault probability at zero is the ideal
+  // framed link: real raw64 frames, the same pinned trajectory.
+  ExperimentConfig ideal = tree;
+  ideal.channel = "lossy";
+  const RunResult ideal_run = Trainer(ideal, model, data, data).run();
+  EXPECT_EQ(ideal_run.final_parameters, want);
+  EXPECT_EQ(ideal_run.train_loss, tree_run.train_loss);
+  EXPECT_GT(ideal_run.channel.frames_sent, 0u);
+  EXPECT_EQ(ideal_run.channel.frames_delivered, ideal_run.channel.frames_sent);
 }
 
 // ---- lossy channel: reproducibility and the substitution budget ------------
@@ -555,11 +560,9 @@ TEST(HierarchicalChannel, LossyRunIsBitReproducibleWithStatsInRunResult) {
   config.attack = "little";
   config.tree_levels = 1;
   config.tree_branch = 3;
-  config.wire = "raw64";
   config.wire_chunk = 4;  // dim 7 → two chunks per edge
   config.channel = "lossy";
   config.channel_drop = 0.2;
-  config.channel_duplicate = 0.1;
   config.channel_corrupt = 0.1;
   config.channel_reorder = 0.3;
   config.channel_retransmit = 8;  // ample for drop = 0.2 → no substitutions
@@ -625,31 +628,6 @@ TEST(HierarchicalChannel, SubstitutionsWithinMergeBudgetDegradeElseThrow) {
   EXPECT_GT(degraded, 0u);  // some rounds stay within the budget...
   EXPECT_GT(refused, 0u);   // ...and the overloaded ones must refuse
   EXPECT_EQ(degraded + refused, 400u);
-}
-
-TEST(HierarchicalChannel, Int8EdgesStayWithinTheQuantizationContract) {
-  // tree(average/average) with int8 edges: each child aggregate is
-  // quantized once per edge, so the merged output deviates from the
-  // in-memory tree by at most max_b ‖aggregate_b‖∞ / 254 per coordinate
-  // — the documented accuracy cost of the 8× wire compression.
-  const size_t n = 12, d = 32;
-  const GradientBatch batch = honest_batch(n, d, 60);
-  net::LinkConfig link;
-  link.wire = net::WireMode::kInt8;
-  const HierarchicalAggregator framed("average", "average", n, 0, 1, 3, 1,
-                                      PruneMode::kOff, &link);
-  const HierarchicalAggregator plain("average", "average", n, 0, 1, 3);
-  const Vector got = support::aggregate(framed, batch);
-  const Vector want = support::aggregate(plain, batch);
-  double max_child_inf = 0.0;
-  for (size_t b = 0; b < plain.branch(); ++b) {
-    const auto [lo, hi] = plain.child_range(b);
-    const Vector child = support::aggregate(plain.child(b), batch.view(lo, hi));
-    max_child_inf = std::max(max_child_inf, vec::norm_inf(child));
-  }
-  const double bound = max_child_inf / 254.0 + 1e-15;
-  for (size_t c = 0; c < d; ++c)
-    EXPECT_LE(std::abs(got[c] - want[c]), bound) << "coordinate " << c;
 }
 
 }  // namespace

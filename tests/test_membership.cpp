@@ -65,8 +65,6 @@ void drive(MembershipManager& m, const ExperimentConfig& c) {
 TEST(Membership, PoolSizeCoversOneJoinerPerBoundary) {
   ExperimentConfig c = churn_config();  // 40 steps, E = 5: boundaries 5..35
   EXPECT_EQ(MembershipManager::pool_size_for(c, 6), 6u + 7u);
-  c.churn_max_joins = 3;
-  EXPECT_EQ(MembershipManager::pool_size_for(c, 6), 6u + 3u);
   c.churn = "off";
   EXPECT_EQ(MembershipManager::pool_size_for(c, 6), 6u);
 }
@@ -93,7 +91,6 @@ TEST(Membership, QuarantineIsTimeGatedAndTerminalStatesAbsorb) {
   c.churn_epoch_rounds = 10;
   c.churn_join_prob = 1.0;  // a joiner every boundary until the pool runs out
   c.churn_leave_prob = 0.3;
-  c.quarantine_epochs = 2;
   ExperimentConfig off = c;
   off.reputation = "off";
 
@@ -107,9 +104,9 @@ TEST(Membership, QuarantineIsTimeGatedAndTerminalStatesAbsorb) {
       if (ev.epoch != epoch) continue;
       if (ev.kind == ChurnEvent::Kind::kJoin) quarantined_since[ev.worker] = ev.epoch;
       // With reputation off, admission is purely time-based: never
-      // before quarantine_epochs full epochs of auditing.
+      // before kQuarantineEpochs full epochs of auditing.
       if (ev.kind == ChurnEvent::Kind::kAdmit) {
-        EXPECT_GE(ev.epoch - quarantined_since[ev.worker], c.quarantine_epochs);
+        EXPECT_GE(ev.epoch - quarantined_since[ev.worker], kQuarantineEpochs);
       }
     }
   }
@@ -194,8 +191,7 @@ TEST(Membership, SaveLoadRoundTripsRosterRngAndTrace) {
 // ---- reputation gate ------------------------------------------------------
 
 TEST(Membership, ReputationScoresInliersUpAndOutliersDown) {
-  ExperimentConfig c = churn_config();
-  c.reputation_outlier = 2.0;
+  const ExperimentConfig c = churn_config();
   ReputationBook rep(c, 4);
   ASSERT_TRUE(rep.enabled());
 

@@ -1,9 +1,9 @@
 // Tests for src/net/: frame round trips (raw64 byte-exact on every
-// GradientBatch view row, int8/topk within their documented contracts),
-// checksum rejection of every byte flip, a fuzz sweep over mutated
-// frames (never crash, never over-read — the ASAN CI leg runs this
-// file), the seeded channel's fault properties, and the edge transport's
-// reassembly / retransmit / zero-substitution behaviour.
+// GradientBatch view row), checksum rejection of every byte flip, the
+// raw64-only mode byte, a fuzz sweep over mutated frames (never crash,
+// never over-read — the ASAN CI leg runs this file), the seeded
+// channel's fault properties, and the edge transport's reassembly /
+// retransmit / zero-substitution behaviour.
 #include "net/transport.hpp"
 
 #include <gtest/gtest.h>
@@ -104,52 +104,10 @@ TEST(Frame, ChunksReassembleInAnyOrder) {
   EXPECT_TRUE(bit_equal(out, row));
 }
 
-// ---- lossy payloads keep their contracts -----------------------------------
-
-TEST(Frame, Int8ErrorWithinDocumentedBound) {
-  const Vector row = random_row(256, 7);
-  FrameEncoder enc(WireMode::kInt8, /*chunk_values=*/100);
-  const Vector out = round_trip(enc, row);
-  // |x − q·scale| ≤ scale/2 = ||row||∞ / 254 per coordinate.
-  const double bound = vec::norm_inf(row) / 254.0 + 1e-15;
-  for (size_t i = 0; i < row.size(); ++i)
-    EXPECT_LE(std::abs(out[i] - row[i]), bound) << "coordinate " << i;
-}
-
-TEST(Frame, Int8ZeroRowStaysZero) {
-  const Vector row(16, 0.0);
-  FrameEncoder enc(WireMode::kInt8);
-  EXPECT_EQ(round_trip(enc, row), row);
-}
-
-TEST(Frame, TopKKeepsTheLargestCoordinatesExactly) {
-  Vector row(50, 0.01);
-  row[3] = -9.0;
-  row[17] = 5.5;
-  row[31] = 7.25;
-  row[49] = -6.125;
-  FrameEncoder enc(WireMode::kTopK, /*chunk_values=*/3, /*topk=*/4);
-  const Vector out = round_trip(enc, row);
-  EXPECT_EQ(out[3], -9.0);     // exact — values travel as raw doubles
-  EXPECT_EQ(out[17], 5.5);
-  EXPECT_EQ(out[31], 7.25);
-  EXPECT_EQ(out[49], -6.125);
-  for (size_t i = 0; i < row.size(); ++i) {
-    if (i != 3 && i != 17 && i != 31 && i != 49) {
-      EXPECT_EQ(out[i], 0.0) << "coordinate " << i;
-    }
-  }
-}
-
 TEST(Frame, BytesPerRowAccountsOverheadPerMode) {
   FrameEncoder raw(WireMode::kRaw64, 1024);
-  FrameEncoder int8(WireMode::kInt8, 1024);
-  FrameEncoder topk(WireMode::kTopK, 1024, 100);
   const size_t d = 1000;
   EXPECT_EQ(raw.bytes_per_row(d), d * 8 + net::kFrameOverheadBytes);
-  EXPECT_EQ(int8.bytes_per_row(d), d + net::kFrameOverheadBytes);
-  EXPECT_EQ(topk.bytes_per_row(d), 100 * 12 + net::kFrameOverheadBytes);
-  EXPECT_LT(int8.bytes_per_row(d), raw.bytes_per_row(d) / 7);
 }
 
 // ---- checksum and decoder robustness ---------------------------------------
@@ -188,36 +146,57 @@ TEST(Frame, TruncationAndGarbageAreRejectedWithoutReadingPast) {
   EXPECT_NE(net::decode_frame(std::span<const uint8_t>{}, chunk), DecodeStatus::kOk);
 }
 
+TEST(Frame, ChecksummedNonRaw64ModeByteIsMalformed) {
+  // Byte 6 is the mode: raw64 (0) is the only encoding, so a frame that
+  // carries any other mode under a valid CRC is malformed, not decoded.
+  const Vector row = random_row(12, 19);
+  FrameEncoder enc(WireMode::kRaw64, 16);
+  FrameBuffer frames;
+  enc.encode_row(row, frames);
+  const std::span<const uint8_t> good = frames.frame(0);
+  ASSERT_EQ(good[6], 0u);
+  for (const uint8_t reserved : {32, 33, 34, 35, 36, 37, 38, 39})
+    EXPECT_EQ(good[reserved], 0u) << "reserved byte " << int(reserved);
+  std::vector<uint8_t> forged(good.begin(), good.end());
+  const size_t covered = forged.size() - 4;
+  for (const uint8_t mode : {1, 2, 255}) {
+    forged[6] = mode;
+    const uint32_t crc = net::crc32(std::span<const uint8_t>(forged.data(), covered));
+    std::memcpy(forged.data() + covered, &crc, sizeof crc);
+    FrameView chunk;
+    EXPECT_EQ(net::decode_frame(forged, chunk), DecodeStatus::kMalformed)
+        << "mode " << int(mode);
+  }
+}
+
 TEST(WireFuzz, MutatedFramesNeverCrashOrOverRead) {
   // Seeded fuzz: random byte flips, truncations and extensions over
-  // valid frames of every mode.  The invariant is memory safety (ASAN
-  // watches this file in CI) plus: whatever still decodes kOk must
-  // apply_chunk without writing outside a correctly-sized row.
+  // valid frames.  The invariant is memory safety (ASAN watches this
+  // file in CI) plus: whatever still decodes kOk must apply_chunk
+  // without writing outside a correctly-sized row.
   Rng rng(2024);
-  for (const WireMode mode : {WireMode::kRaw64, WireMode::kInt8, WireMode::kTopK}) {
-    const size_t d = 64;
-    const Vector row = random_row(d, 99);
-    FrameEncoder enc(mode, /*chunk_values=*/19, /*topk=*/13);
-    FrameBuffer frames;
-    enc.encode_row(row, frames);
-    std::vector<uint8_t> mutated;
-    for (int trial = 0; trial < 2000; ++trial) {
-      const std::span<const uint8_t> base =
-          frames.frame(rng.uniform_index(frames.count()));
-      mutated.assign(base.begin(), base.end());
-      const size_t flips = 1 + rng.uniform_index(8);
-      for (size_t k = 0; k < flips; ++k)
-        mutated[rng.uniform_index(mutated.size())] ^=
-            static_cast<uint8_t>(1 + rng.uniform_index(255));
-      if (rng.bernoulli(0.3))
-        mutated.resize(rng.uniform_index(mutated.size() + 1));  // truncate
-      else if (rng.bernoulli(0.2))
-        mutated.resize(mutated.size() + 1 + rng.uniform_index(64), 0x5A);
-      FrameView chunk;
-      if (net::decode_frame(mutated, chunk) == DecodeStatus::kOk) {
-        Vector out(d, 0.0);
-        net::apply_chunk(chunk, out);  // must stay in bounds either way
-      }
+  const size_t d = 64;
+  const Vector row = random_row(d, 99);
+  FrameEncoder enc(WireMode::kRaw64, /*chunk_values=*/19);
+  FrameBuffer frames;
+  enc.encode_row(row, frames);
+  std::vector<uint8_t> mutated;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::span<const uint8_t> base =
+        frames.frame(rng.uniform_index(frames.count()));
+    mutated.assign(base.begin(), base.end());
+    const size_t flips = 1 + rng.uniform_index(8);
+    for (size_t k = 0; k < flips; ++k)
+      mutated[rng.uniform_index(mutated.size())] ^=
+          static_cast<uint8_t>(1 + rng.uniform_index(255));
+    if (rng.bernoulli(0.3))
+      mutated.resize(rng.uniform_index(mutated.size() + 1));  // truncate
+    else if (rng.bernoulli(0.2))
+      mutated.resize(mutated.size() + 1 + rng.uniform_index(64), 0x5A);
+    FrameView chunk;
+    if (net::decode_frame(mutated, chunk) == DecodeStatus::kOk) {
+      Vector out(d, 0.0);
+      net::apply_chunk(chunk, out);  // must stay in bounds either way
     }
   }
 }
@@ -395,20 +374,6 @@ TEST(EdgeTransport, TransferIsDeterministicPerSeed) {
   EXPECT_EQ(ok_a, ok_b);
   EXPECT_EQ(out_a, out_b);
   EXPECT_TRUE(stats_a == stats_b);
-}
-
-TEST(EdgeTransport, Int8TransferHonoursQuantizationContract) {
-  const Vector row = random_row(96, 39);
-  LinkConfig link;
-  link.wire = WireMode::kInt8;
-  link.chunk_values = 40;
-  EdgeTransport edge(link, 1);
-  Vector out(row.size(), 0.0);
-  ChannelStats stats;
-  ASSERT_TRUE(edge.transfer(row, out, stats));
-  const double bound = vec::norm_inf(row) / 254.0 + 1e-15;
-  for (size_t i = 0; i < row.size(); ++i)
-    EXPECT_LE(std::abs(out[i] - row[i]), bound);
 }
 
 }  // namespace

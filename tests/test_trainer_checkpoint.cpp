@@ -1,8 +1,10 @@
 // Tests for trainer checkpoint/restore (core/checkpoint.hpp): signature
-// semantics, file-format round trips and corruption handling, and the
-// headline contract — a run killed at a checkpoint and restored produces
-// a trajectory bit-identical to the uninterrupted run, at every pipeline
-// depth, with and without churn, under an adaptive adversary.
+// semantics, file-format round trips and corruption handling (including a
+// fuzz of the loader over truncated, flipped and garbage files — the
+// ASAN CI leg runs this file), and the headline contract — a run killed
+// at a checkpoint and restored produces a trajectory bit-identical to the
+// uninterrupted run, at every pipeline depth, with and without churn,
+// under an adaptive adversary.
 //
 // TrainerCheckpoint* runs under the TSAN CI job: the depth-k restore
 // paths re-prime the ring's fill thread mid-stream.
@@ -98,7 +100,6 @@ TEST(TrainerCheckpoint, SignatureIgnoresHorizonAndPlumbingKnobs) {
   ExperimentConfig b = a;
   b.steps = 4000;
   b.checkpoint_path = "/elsewhere/b.ckpt";
-  b.checkpoint_resume = false;
   b.threads = 8;
   EXPECT_EQ(checkpoint_signature(a), checkpoint_signature(b));
 }
@@ -175,19 +176,24 @@ TEST(TrainerCheckpoint, MissingFileIsNulloptCorruptFileThrows) {
   std::remove(path.c_str());
 }
 
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
 /// Flips one bit of the first payload byte of blob `tag` in the file.
 void flip_payload_bit(const std::string& path, const std::string& tag) {
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  }
+  std::string bytes = read_bytes(path);
   const size_t header = bytes.find("\n" + tag + " ");
   ASSERT_NE(header, std::string::npos) << tag;
   const size_t payload = bytes.find('\n', header + 1) + 1;
   bytes[payload] = static_cast<char>(bytes[payload] ^ 0x10);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << bytes;
+  write_bytes(path, bytes);
 }
 
 TEST(TrainerCheckpoint, PayloadBitFlipFailsCrcAndRestoresNothing) {
@@ -220,6 +226,128 @@ TEST(TrainerCheckpoint, PayloadBitFlipFailsCrcAndRestoresNothing) {
   EXPECT_THROW((void)Trainer(c, task.model, task.train, task.test).run(),
                std::runtime_error);
   std::remove(path.c_str());
+  std::remove(c.checkpoint_path.c_str());
+}
+
+/// Offsets of every decimal digit of every "<tag> <number>" header line
+/// of a checkpoint file: the blob lengths, the round and the worker count.
+std::vector<size_t> header_digit_offsets(const std::string& bytes) {
+  std::vector<size_t> out;
+  size_t pos = bytes.find('\n') + 1;  // past the magic line
+  for (;;) {
+    const size_t space = bytes.find(' ', pos);
+    const size_t eol = bytes.find('\n', pos);
+    if (space == std::string::npos || eol < space) break;  // "end"
+    const std::string tag = bytes.substr(pos, space - pos);
+    for (size_t i = space + 1; i < eol; ++i) out.push_back(i);
+    const size_t value = std::stoull(bytes.substr(space + 1, eol - space - 1));
+    pos = eol + 1;
+    if (tag != "round" && tag != "workers") pos += value + 1;  // payload + '\n'
+  }
+  return out;
+}
+
+TEST(TrainerCheckpoint, CorruptFilesFailWithANamedErrorAndRestoreNothing) {
+  // A real checkpoint in which every blob is non-empty: churn (membership
+  // and reputation), a stateful adversary, evaluations before the save.
+  // n = 3 keeps the file (mostly per-worker RNG state) near 65 KB, so
+  // the sweeps below stay fast.
+  SmallTask task;
+  ExperimentConfig c = ckpt_config(temp_ckpt("fuzz_run"));
+  c.steps = 10;
+  c.eval_every = 5;
+  c.checkpoint_every = 5;
+  c.gar = "average";
+  c.num_workers = 3;
+  c.num_byzantine = 1;
+  c.attack_enabled = true;
+  c.attack = "adaptive_alie";
+  c.churn = "epoch";
+  c.churn_epoch_rounds = 5;
+  c.churn_join_prob = 1.0;
+  c.churn_leave_prob = 0.0;
+  (void)Trainer(c, task.model, task.train, task.test).run();
+  const std::string good = read_bytes(c.checkpoint_path);
+  {
+    const TrainerCheckpoint ckpt = decode_checkpoint(good, c.checkpoint_path);
+    for (const std::string* blob : {&ckpt.signature, &ckpt.attack_blob, &ckpt.stream_blob,
+                                    &ckpt.membership_blob, &ckpt.reputation_blob})
+      EXPECT_FALSE(blob->empty());
+    EXPECT_FALSE(ckpt.params.empty() || ckpt.velocity.empty() ||
+                 ckpt.worker_blobs.empty() || ckpt.train_loss.empty() ||
+                 ckpt.round_rows.empty() || ckpt.round_f.empty() || ckpt.eval.empty());
+  }
+
+  // Every rejection must be the loader's own named error: never
+  // std::bad_alloc or std::length_error from a length read off the file.
+  size_t inputs = 0;
+  auto expect_rejected = [&](const std::string& bytes, const std::string& what) {
+    ++inputs;
+    try {
+      (void)decode_checkpoint(bytes, "fuzz.ckpt");
+      ADD_FAILURE() << what << ": the corrupt file decoded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("checkpoint: 'fuzz.ckpt' ", 0), 0u)
+          << what << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": unnamed error: " << e.what();
+    }
+  };
+
+  for (size_t len = 0; len < good.size(); ++len)
+    expect_rejected(good.substr(0, len), "truncated to " + std::to_string(len));
+
+  const std::vector<size_t> digits = header_digit_offsets(good);
+  ASSERT_GE(digits.size(), 20u);
+  for (const size_t at : digits)
+    for (const char d : std::string("0123456789 -x")) {
+      if (d == good[at]) continue;
+      std::string bad = good;
+      bad[at] = d;
+      expect_rejected(bad, "header digit at " + std::to_string(at) + " -> '" + d + "'");
+    }
+  // Lengths and counts far beyond the file.
+  for (const std::string tag : {"\nsig ", "\nworkers ", "\nreputation "}) {
+    const size_t at = good.find(tag) + tag.size();
+    std::string bad = good;
+    bad.replace(at, good.find('\n', at) - at, "1000000000000000000");
+    expect_rejected(bad, "huge count after '" + tag.substr(1) + "'");
+  }
+
+  Rng rng(4242);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string bad = good;
+    const size_t flips = 1 + rng.uniform_index(4);
+    for (size_t k = 0; k < flips; ++k)
+      bad[rng.uniform_index(bad.size())] ^= static_cast<char>(1 + rng.uniform_index(255));
+    expect_rejected(bad, "flip trial " + std::to_string(trial));
+  }
+  const std::string magic = good.substr(0, good.find('\n') + 1);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string garbage(rng.uniform_index(4096), '\0');
+    for (char& ch : garbage) ch = static_cast<char>(rng.uniform_index(256));
+    expect_rejected(garbage, "garbage trial " + std::to_string(trial));
+    expect_rejected(magic + garbage, "magic + garbage trial " + std::to_string(trial));
+  }
+  EXPECT_GT(inputs, good.size() + 2000);
+
+  // Through the file: a resuming trainer refuses each kind of damage
+  // before restoring anything, and leaves the file as it found it.
+  std::string bad_count = good;
+  bad_count[good.find("\nworkers ") + 9] = '9';
+  for (const std::string& bad :
+       {good.substr(0, good.size() / 2), good.substr(0, good.size() - 1), bad_count}) {
+    write_bytes(c.checkpoint_path, bad);
+    try {
+      (void)load_checkpoint(c.checkpoint_path);
+      ADD_FAILURE() << "a corrupt checkpoint file loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.checkpoint_path), std::string::npos) << e.what();
+    }
+    EXPECT_THROW((void)Trainer(c, task.model, task.train, task.test).run(),
+                 std::runtime_error);
+    EXPECT_EQ(read_bytes(c.checkpoint_path), bad);
+  }
   std::remove(c.checkpoint_path.c_str());
 }
 
